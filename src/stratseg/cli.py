@@ -176,7 +176,7 @@ def cmd_gda_project(args) -> int:
 def cmd_gda_eval(args) -> int:
     model = kgda.load_model(_read_text(args.model))
     data = kgda.load_dataset_csv(_read_text(args.csv), header=args.header)
-    pred = classify = kgda.classify_nearest_mean(model, data.samples)
+    pred = kgda.classify_nearest_mean(model, data.samples)
     correct = int(np.sum(pred == data.labels))
     confusion = {}
     for c_true in np.unique(data.labels):

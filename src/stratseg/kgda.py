@@ -4,9 +4,10 @@ Class scatter is expressed entirely through the training kernel matrix:
 columns of K play the role of mapped samples, class/global kernel means
 replace feature-space means, and discriminant directions are coefficient
 vectors solving the generalized eigenproblem of the between-class against
-the (regularized) within-class kernel scatter. Discriminants are extracted
-sequentially under a scatter-metric orthogonality constraint; a one-shot
-batch extraction is provided as an independent route for verification.
+the (regularized) within-class kernel scatter. The between-class scatter
+has rank at most Z - 1, so the M x M pencil is reduced to a Z x Z symmetric
+eigenproblem; the resulting discriminants are polished to scatter-metric
+orthonormality in extended precision.
 """
 
 from __future__ import annotations
@@ -17,12 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._eig import (
-    LD,
-    orthonormal_complement,
-    refine_pencil_eigenpair,
-    top_pencil_eigenpairs,
-)
 from .errors import (
     CsvParse,
     DegenerateKernel,
@@ -51,6 +46,8 @@ __all__ = [
     "regularization_epsilon",
 ]
 
+LD = np.longdouble
+
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -64,6 +61,8 @@ class LabeledDataset:
         y = np.asarray(self.labels, dtype=np.int64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise InvalidDataset("samples must be a non-empty (M, n) array")
+        if not np.all(np.isfinite(x)):
+            raise InvalidDataset("samples must be finite (no NaN or inf)")
         if y.shape != (x.shape[0],):
             raise DimensionMismatch("one label per sample required")
         object.__setattr__(self, "samples", x)
@@ -143,15 +142,26 @@ class ScatterMatrices:
     global_mean: np.ndarray  # (M,)
 
 
-def _scatter(k: np.ndarray, labels: np.ndarray) -> ScatterMatrices:
+def _scatter_factors(k: np.ndarray, labels) -> tuple:
+    """Class means and scatter factors, in k's dtype.
+
+    Returns (deltas, delta0, c_b, dev): U_b = c_b c_b^T with c_b the (M, Z)
+    columns (delta_c - delta_0) sqrt(n_c / M), and U_w = dev dev^T / M with
+    dev the kernel columns minus their class means.
+    """
     m = k.shape[0]
-    labels = np.asarray(labels)
-    classes, inverse = np.unique(labels, return_inverse=True)
+    _, inverse = np.unique(labels, return_inverse=True)
     deltas, delta0 = kernel_class_means(k, labels)
     counts = np.bincount(inverse).astype(k.dtype)
-    centered_b = (deltas - delta0) * np.sqrt(counts / m)[:, None]
-    u_b = centered_b.T @ centered_b
-    dev_w = k - deltas[inverse].T  # column j minus its class mean
+    c_b = ((deltas - delta0) * np.sqrt(counts / m)[:, None]).T
+    dev = k - deltas[inverse].T  # column j minus its class mean
+    return deltas, delta0, c_b, dev
+
+
+def _scatter(k: np.ndarray, labels: np.ndarray) -> ScatterMatrices:
+    m = k.shape[0]
+    deltas, delta0, c_b, dev_w = _scatter_factors(k, np.asarray(labels))
+    u_b = c_b @ c_b.T
     u_w = dev_w @ dev_w.T / m
     dev_t = k - delta0[:, None]
     u_t = dev_t @ dev_t.T / m
@@ -203,46 +213,28 @@ class GdaModel:
         return self.sigmas.shape[1]
 
 
-def _normalize_sign(sigma_ld: np.ndarray, uwe: np.ndarray) -> np.ndarray:
-    sigma_ld = sigma_ld / np.sqrt(sigma_ld @ uwe @ sigma_ld)
-    s64 = sigma_ld.astype(np.float64)
-    if s64[int(np.argmax(np.abs(s64)))] < 0:
-        sigma_ld = -sigma_ld
-    return sigma_ld
+def _b_orthonormalize(sig: np.ndarray, apply_b) -> tuple:
+    """Modified Gram-Schmidt of the columns of sig in the metric of B.
 
-
-def _extract_sequential(u_b, uwe, d: int):
-    sigmas, etas = [], []
-    for s in range(d):
-        if s == 0:
-            lams, vecs = top_pencil_eigenpairs(u_b, uwe, 1)
-            sig, eta = vecs[:, 0], lams[0]
-        else:
-            constraints = np.column_stack([uwe @ sg for sg in sigmas])
-            basis = orthonormal_complement(constraints)
-            a_r = basis.T @ u_b @ basis
-            b_r = basis.T @ uwe @ basis
-            lams, vecs = top_pencil_eigenpairs((a_r + a_r.T) / 2, (b_r + b_r.T) / 2, 1)
-            sig, eta = basis @ vecs[:, 0], lams[0]
-            # polish against the full pencil; in exact arithmetic the
-            # constrained maximizer is the next full-pencil eigenvector
-            sig, eta, _ = refine_pencil_eigenpair(u_b, uwe, sig, eta)
-        sigmas.append(_normalize_sign(sig, uwe))
-        etas.append(eta)
-    return sigmas, etas
-
-
-def _extract_batch(u_b, uwe, d: int):
-    lams, vecs = top_pencil_eigenpairs(u_b, uwe, d)
-    sigmas = [_normalize_sign(vecs[:, k], uwe) for k in range(d)]
-    return sigmas, list(lams)
+    Returns (sig, B sig) with sig^T B sig = I; apply_b maps columns to B times
+    them, so B is touched once per column.
+    """
+    sig = sig.copy()
+    b_sig = np.empty_like(sig)
+    for j in range(sig.shape[1]):
+        for i in range(j):
+            sig[:, j] -= (b_sig[:, i] @ sig[:, j]) * sig[:, i]
+        b = apply_b(sig[:, j])
+        norm = np.sqrt(sig[:, j] @ b)
+        sig[:, j] /= norm
+        b_sig[:, j] = b / norm
+    return sig, b_sig
 
 
 def train_gda(
     data: LabeledDataset,
     spec: KernelSpec = KernelSpec(),
     d: Optional[int] = None,
-    extraction: str = "sequential",
 ) -> GdaModel:
     """Fit discriminant coefficient vectors from the kernel scatter pencil.
 
@@ -254,22 +246,27 @@ def train_gda(
     z = len(classes)
     if z < 2:
         raise InvalidDataset(f"need at least 2 classes, got {z}")
-    if extraction not in ("sequential", "batch"):
-        raise ValueError(f"unknown extraction {extraction!r}")
     d_req = z - 1 if d is None else int(d)
     if d_req < 1:
         raise ValueError("d must be >= 1")
 
     k = compute_kernel_matrix(data, spec)
+    if not np.all(np.isfinite(k)):
+        raise DegenerateKernel("kernel matrix has non-finite entries")
     if float(np.abs(k).max()) < 1e-30:
         raise DegenerateKernel("kernel matrix is numerically zero")
-    scat = _scatter(k.astype(LD), data.labels)
     m = k.shape[0]
-    eps = regularization_epsilon(scat.u_w.astype(np.float64))
-    uwe = scat.u_w + LD(eps) * np.eye(m, dtype=LD)
+    _, _, c_b, dev = _scatter_factors(k.astype(LD), data.labels)
+    c_b64, dev64 = c_b.astype(np.float64), dev.astype(np.float64)
+    u_w = dev64 @ dev64.T / m
+    eps = regularization_epsilon(u_w)
+    b64 = u_w + eps * np.eye(m)
 
-    ev_b = np.linalg.eigvalsh(scat.u_b.astype(np.float64))
-    rank_b = int(np.sum(ev_b > 1e-10 * max(ev_b[-1], 0.0))) if ev_b[-1] > 0 else 0
+    def apply_b(s):  # (U_w + eps I) s in longdouble, O(M^2) per column
+        return dev @ (dev.T @ s) / m + LD(eps) * s
+
+    ev_b = np.linalg.eigvalsh(c_b64.T @ c_b64)  # nonzero spectrum of U_b = C C^T
+    rank_b = int(np.sum(ev_b > 1e-10 * ev_b[-1])) if ev_b[-1] > 0 else 0
     d_eff = min(d_req, z - 1, rank_b)
     achieved_all = d_eff == d_req
 
@@ -277,10 +274,20 @@ def train_gda(
         sigmas64 = np.zeros((m, 0))
         etas64 = np.zeros(0)
     else:
-        extract = _extract_sequential if extraction == "sequential" else _extract_batch
-        sigmas, etas = extract(scat.u_b, uwe, d_eff)
-        sigmas64 = np.column_stack([s.astype(np.float64) for s in sigmas])
-        etas64 = np.array([float(e) for e in etas])
+        # U_b s = eta B s with U_b = C C^T reduces to the Z x Z problem
+        # (C^T B^-1 C) v = eta v, s = B^-1 C v
+        x = np.linalg.solve(b64, c_b64)
+        x += np.linalg.solve(b64, (c_b - apply_b(x.astype(LD))).astype(np.float64))
+        g = c_b64.T @ x
+        _, v = np.linalg.eigh((g + g.T) / 2)
+        sig = (x @ v[:, ::-1][:, :d_eff]).astype(LD)
+        sig, _ = _b_orthonormalize(sig, apply_b)
+        sig, b_sig = _b_orthonormalize(sig, apply_b)
+        rayleigh = ((c_b.T @ sig) ** 2).sum(axis=0) / (sig * b_sig).sum(axis=0)
+        etas64 = rayleigh.astype(np.float64)
+        sigmas64 = sig.astype(np.float64)
+        peak = np.abs(sigmas64).argmax(axis=0)
+        sigmas64 *= np.sign(sigmas64[peak, np.arange(d_eff)])
 
     proj = k @ sigmas64  # row j = projection of training sample j
     class_means = np.stack(
@@ -302,6 +309,8 @@ def train_gda(
 def project(model: GdaModel, u: np.ndarray) -> np.ndarray:
     """Discriminant-space coordinates of one sample (or a batch of rows)."""
     u = np.asarray(u, dtype=np.float64)
+    if not np.all(np.isfinite(u)):
+        raise InvalidDataset("samples must be finite (no NaN or inf)")
     single = u.ndim == 1
     batch = u[None, :] if single else u
     if batch.shape[1] != model.samples.shape[1]:

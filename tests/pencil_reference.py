@@ -1,17 +1,18 @@
-"""Extended-precision helpers for the generalized symmetric eigenproblem.
+"""Full-pencil reference solver for the discriminant eigenproblem.
 
-The discriminant pencil (U_b, U_w + eps*I) is extremely ill-conditioned when
-the within-class scatter is nearly singular; double-precision LAPACK then
-determines eigenvectors only to ~1e-4. Eigenpairs are therefore estimated
-with LAPACK and polished by Rayleigh-quotient inverse iteration carried out
-in numpy's extended-precision `longdouble`, which pins residuals and
-cross-route agreement far below the verification tolerances.
+An independent route to the discriminants that `train_gda` computes by
+low-rank reduction: it forms the M x M pencil (U_b, U_w + eps I) in
+extended precision, estimates its top eigenpairs with LAPACK and polishes
+each by Rayleigh-quotient inverse iteration carried out in numpy's
+`longdouble`. It costs O(M^3) longdouble work, so it serves only as a test
+reference on small problems.
 """
-
-from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigh
+
+from stratseg import compute_kernel_matrix
+from stratseg.kgda import _scatter, regularization_epsilon
 
 LD = np.longdouble
 
@@ -83,35 +84,28 @@ def top_pencil_eigenpairs(a, b, k: int):
     return np.array(lams, dtype=LD), np.column_stack(vecs)
 
 
-def orthonormal_complement(c: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the complement of span(columns of c).
+def _normalize_sign(sigma_ld: np.ndarray, uwe: np.ndarray) -> np.ndarray:
+    sigma_ld = sigma_ld / np.sqrt(sigma_ld @ uwe @ sigma_ld)
+    s64 = sigma_ld.astype(np.float64)
+    if s64[int(np.argmax(np.abs(s64)))] < 0:
+        sigma_ld = -sigma_ld
+    return sigma_ld
 
-    Modified Gram-Schmidt with reorthogonalization, in longdouble.
+
+def full_pencil_discriminants(data, spec, d: int):
+    """Top-d (sigmas, etas) of the full kernel scatter pencil, as float64.
+
+    The pencil and eps are built exactly as in `train_gda`'s documented
+    problem: U_b and U_w from the longdouble kernel matrix, eps from
+    `regularization_epsilon`, sigmas scaled to unit scatter-metric norm with
+    their largest-magnitude entry positive.
     """
-    c = np.atleast_2d(np.asarray(c, dtype=LD))
-    if c.shape[0] < c.shape[1]:
-        raise ValueError("more constraint vectors than dimensions")
-    m = c.shape[0]
-    q = []
-    for j in range(c.shape[1]):
-        v = c[:, j].copy()
-        for u in q:
-            v -= (u @ v) * u
-        nv = np.sqrt(v @ v)
-        if float(nv) > 0:
-            q.append(v / nv)
-    basis = []
-    want = m - len(q)
-    for e in range(m):
-        v = np.zeros(m, dtype=LD)
-        v[e] = 1
-        for u in q + basis:
-            v -= (u @ v) * u
-        for u in q + basis:
-            v -= (u @ v) * u
-        nv = np.sqrt(v @ v)
-        if float(nv) > 1e-6:
-            basis.append(v / nv)
-        if len(basis) == want:
-            break
-    return np.column_stack(basis)
+    k = compute_kernel_matrix(data, spec).astype(LD)
+    scat = _scatter(k, data.labels)
+    eps = regularization_epsilon(scat.u_w.astype(np.float64))
+    uwe = scat.u_w + LD(eps) * np.eye(k.shape[0], dtype=LD)
+    lams, vecs = top_pencil_eigenpairs(scat.u_b, uwe, d)
+    sigmas = np.column_stack(
+        [_normalize_sign(vecs[:, j], uwe).astype(np.float64) for j in range(d)]
+    )
+    return sigmas, lams.astype(np.float64)

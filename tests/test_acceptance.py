@@ -43,6 +43,8 @@ from stratseg.cli import main as cli_main
 from stratseg.kgda import _scatter
 from stratseg.stratify import iter_nodes, stats_from_histogram
 
+from pencil_reference import full_pencil_discriminants
+
 LD = np.longdouble
 
 
@@ -383,33 +385,38 @@ def test_criterion_6_linear_kernel_lda_equivalence():
     )
 
 
-# --- 7. sequential vs batch extraction ------------------------------------------
+# --- 7. low-rank solve vs full-pencil reference --------------------------------
 
 
-def test_criterion_7_sequential_vs_batch_agreement():
+def test_criterion_7_low_rank_vs_full_pencil_agreement():
     rng = np.random.default_rng(107)
     worst_angle = 0.0
     checked = 0
+    etas_ok = True
     for spec in (KernelSpec("linear"), KernelSpec("rbf", gamma=0.3), KernelSpec("polynomial")):
         for z in (3, 4):
             data = random_dataset(rng, z=z)
-            seq = train_gda(data, spec, extraction="sequential")
-            bat = train_gda(data, spec, extraction="batch")
-            etas = seq.etas
+            model = train_gda(data, spec)
+            ref_sigmas, ref_etas = full_pencil_discriminants(
+                data, spec, model.n_discriminants
+            )
+            etas = model.etas
             gaps = np.abs(np.diff(etas)) / np.maximum(np.abs(etas[:-1]), 1e-30)
             if len(etas) < 2 or gaps.min() <= 1e-6:
                 continue  # degenerate spectrum: agreement not required
             checked += 1
+            etas_ok = etas_ok and np.allclose(etas, ref_etas, rtol=1e-8)
             angle = float(
-                scipy.linalg.subspace_angles(seq.sigmas, bat.sigmas).max()
+                scipy.linalg.subspace_angles(model.sigmas, ref_sigmas).max()
             )
             worst_angle = max(worst_angle, angle)
-    ok = checked >= 4 and worst_angle < 1e-6
+    ok = checked >= 4 and worst_angle < 1e-6 and etas_ok
     report(
         7,
-        "sequential vs batch extraction",
+        "low-rank solve vs full-pencil reference",
         ok,
-        f"{checked} nondegenerate models, worst principal angle {worst_angle:.2e} rad (<1e-6)",
+        f"{checked} nondegenerate models, worst principal angle {worst_angle:.2e} rad (<1e-6), "
+        f"eta within rtol 1e-8 {etas_ok}",
     )
 
 

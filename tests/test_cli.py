@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from stratseg import (
     save_pgm,
     train_gda,
 )
+import stratseg
 from stratseg.cli import main
 
 
@@ -228,3 +232,24 @@ def test_cli_wrong_column_count_on_project(tmp_path, capsys):
     bad.write_text("1.0,2.0,3.0,4.0\n")
     assert run(["gda-project", model_path, bad, "--out", tmp_path / "o.csv"]) == 1
     assert "error: DimensionMismatch:" in capsys.readouterr().err
+
+
+def test_cli_non_finite_feature_reports_category(tmp_path, capsys):
+    csv_path = tmp_path / "nan.csv"
+    csv_path.write_text("0.0,1.0,0\n0.5,nan,0\n3.0,2.0,1\n3.5,2.5,1\n")
+    assert run(["gda-train", csv_path, "--model-out", tmp_path / "m.json"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidDataset:")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stratseg.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import stratseg, sys; assert 'scipy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -28,6 +28,8 @@ from stratseg.errors import (
     ZeroVector,
 )
 
+from pencil_reference import full_pencil_discriminants
+
 LD = np.longdouble
 
 
@@ -265,15 +267,68 @@ def test_train_zero_kernel_rejected():
         train_gda(data, KernelSpec("linear"))
 
 
-def test_sequential_and_batch_extraction_agree():
+def test_train_overflowing_kernel_rejected():
+    x = np.array([[1e200, 0.0], [2e200, 1.0], [0.0, 1e200], [1.0, 2e200]])
+    data = LabeledDataset(x, [0, 0, 1, 1])
+    with np.errstate(over="ignore"), pytest.raises(DegenerateKernel):
+        train_gda(data, KernelSpec("linear"))
+
+
+def test_low_rank_and_full_pencil_routes_agree():
     rng = np.random.default_rng(56)
     data = blobs(rng, [(0, 0), (4, 1), (1, 4)], n_per=8, sigma=0.6)
     spec = KernelSpec("rbf", gamma=0.3)
-    seq = train_gda(data, spec, extraction="sequential")
-    bat = train_gda(data, spec, extraction="batch")
-    assert np.allclose(seq.etas, bat.etas, rtol=1e-8)
-    angles = scipy.linalg.subspace_angles(seq.sigmas, bat.sigmas)
+    model = train_gda(data, spec)
+    ref_sigmas, ref_etas = full_pencil_discriminants(data, spec, model.n_discriminants)
+    assert np.allclose(model.etas, ref_etas, rtol=1e-8)
+    angles = scipy.linalg.subspace_angles(model.sigmas, ref_sigmas)
     assert angles.max() < 1e-6
+
+
+def factored_errors(model):
+    """Worst normwise backward error of the eigenpairs and worst deviation of
+    sigma^T B sigma from the identity, B = U_w + eps I, in float64.
+
+    Both scatter matrices are applied in factored form, U_b s = C (C^T s) and
+    U_w s = D (D^T s) / M, so no M x M scatter matrix is formed.
+    """
+    data = LabeledDataset(model.samples, model.labels)
+    k = compute_kernel_matrix(data, model.spec)
+    m = k.shape[0]
+    deltas, delta0 = kernel_class_means(k, model.labels)
+    counts = np.array([np.sum(model.labels == c) for c in model.classes])
+    c_b = ((deltas - delta0) * np.sqrt(counts / m)[:, None]).T
+    dev = k - deltas[np.searchsorted(model.classes, model.labels)].T
+    sig = model.sigmas
+    ub_sig = c_b @ (c_b.T @ sig)
+    b_sig = dev @ (dev.T @ sig) / m + model.eps * sig
+    nb = np.linalg.norm(c_b, 2) ** 2
+    nw = np.linalg.norm(dev, 2) ** 2 / m + model.eps
+    resid = max(
+        float(
+            np.linalg.norm(ub_sig[:, j] - model.etas[j] * b_sig[:, j])
+            / ((nb + abs(model.etas[j]) * nw) * np.linalg.norm(sig[:, j]))
+        )
+        for j in range(model.n_discriminants)
+    )
+    orth = float(np.abs(sig.T @ b_sig - np.eye(model.n_discriminants)).max())
+    return resid, orth
+
+
+@pytest.mark.parametrize(
+    "m, n, kind",
+    [(500, 64, "rbf"), (500, 4, "linear"), (1000, 8, "rbf")],
+)
+def test_train_large_m_residual_and_orthonormality(m, n, kind):
+    z = 5
+    rng = np.random.default_rng(m + n)
+    centers = rng.normal(0, 2.0, size=(z, n))
+    data = blobs(rng, centers, n_per=m // z, sigma=1.0)
+    model = train_gda(data, KernelSpec(kind))
+    assert model.n_discriminants == z - 1
+    resid, orth = factored_errors(model)
+    assert resid <= 1e-8
+    assert orth <= 1e-8
 
 
 def test_linear_kernel_matches_classical_lda_direction():
@@ -292,6 +347,20 @@ def test_linear_kernel_matches_classical_lda_direction():
     theirs = x @ w
     r = np.corrcoef(ours, theirs)[0, 1]
     assert abs(r) > 0.999
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+    x[2, 1] = bad
+    with pytest.raises(InvalidDataset):
+        LabeledDataset(x, [0, 0, 1, 1])
+    rng = np.random.default_rng(67)
+    model = train_gda(blobs(rng, [(0, 0), (3, 3)], n_per=6), KernelSpec("rbf"))
+    with pytest.raises(InvalidDataset):
+        project(model, np.array([0.5, bad]))
+    with pytest.raises(InvalidDataset):
+        classify_nearest_mean(model, x)
 
 
 # --- projection and classification ---------------------------------------------
