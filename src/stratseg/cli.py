@@ -128,12 +128,8 @@ def cmd_gda_train(args) -> int:
 
 def _load_feature_rows(text: str, header: bool, n_features: int):
     """Rows of floats; a trailing integer label column is passed through."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if header:
-        lines = lines[1:]
     feats, labels = [], []
-    for i, ln in enumerate(lines):
-        parts = [p.strip() for p in ln.split(",")]
+    for i, parts in enumerate(kgda.csv_rows(text, header)):
         if len(parts) == n_features:
             lab = None
         elif len(parts) == n_features + 1:

@@ -9,6 +9,10 @@ class StratsegError(Exception):
     """Base class for all stratseg errors."""
 
 
+class InvalidArgument(StratsegError, ValueError):
+    """A parameter (policy, weights, simplex, kernel, d) is out of range."""
+
+
 # --- image I/O ---
 
 class MalformedHeader(StratsegError):
@@ -67,6 +71,10 @@ class CsvParse(StratsegError):
 
 class InvalidSpec(StratsegError):
     """Phantom spec file is invalid."""
+
+
+class InvalidModel(StratsegError):
+    """Model JSON is malformed, lacks a field or has inconsistent shapes."""
 
 
 class NonBinaryInput(StratsegError):

@@ -23,7 +23,9 @@ from .errors import (
     DegenerateKernel,
     DimensionMismatch,
     EmptyClass,
+    InvalidArgument,
     InvalidDataset,
+    InvalidModel,
     ZeroVector,
 )
 
@@ -89,11 +91,11 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "polynomial"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+            raise InvalidArgument(f"unknown kernel kind {self.kind!r}")
+        if self.gamma is not None and not self.gamma > 0:
+            raise InvalidArgument("gamma must be positive")
         if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+            raise InvalidArgument("degree must be >= 1")
 
 
 def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -248,7 +250,7 @@ def train_gda(
         raise InvalidDataset(f"need at least 2 classes, got {z}")
     d_req = z - 1 if d is None else int(d)
     if d_req < 1:
-        raise ValueError("d must be >= 1")
+        raise InvalidArgument("d must be >= 1")
 
     k = compute_kernel_matrix(data, spec)
     if not np.all(np.isfinite(k)):
@@ -335,16 +337,22 @@ def classify_nearest_mean(model: GdaModel, u: np.ndarray):
 
 # --- file formats -----------------------------------------------------------
 
-def load_dataset_csv(text: str, header: bool = False) -> LabeledDataset:
-    """Parse 'f1,...,fn,label' rows; the last column is the integer label."""
+def csv_rows(text: str, header: bool = False) -> list:
+    """Non-blank lines split on commas with cells stripped; `header` drops
+    the first of them."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if header:
         lines = lines[1:]
-    if not lines:
+    return [[p.strip() for p in ln.split(",")] for ln in lines]
+
+
+def load_dataset_csv(text: str, header: bool = False) -> LabeledDataset:
+    """Parse 'f1,...,fn,label' rows; the last column is the integer label."""
+    rows = csv_rows(text, header)
+    if not rows:
         raise CsvParse("no data rows")
     samples, labels = [], []
-    for i, ln in enumerate(lines):
-        parts = [p.strip() for p in ln.split(",")]
+    for i, parts in enumerate(rows):
         if len(parts) < 2:
             raise CsvParse(f"row {i}: need at least one feature and a label")
         try:
@@ -390,23 +398,34 @@ def save_model(model: GdaModel) -> str:
 
 
 def load_model(text: str) -> GdaModel:
-    doc = json.loads(text)
-    kern = doc["kernel"]
-    spec = KernelSpec(
-        kind=kern["kind"], gamma=kern["gamma"], degree=kern["degree"], coef=kern["coef"]
-    )
-    m = len(doc["labels"])
-    sig = np.array(doc["sigmas"], dtype=np.float64).reshape(m, -1)
-    return GdaModel(
-        samples=np.array(doc["samples"], dtype=np.float64),
-        labels=np.array(doc["labels"], dtype=np.int64),
-        spec=spec,
-        sigmas=sig,
-        etas=np.array(doc["etas"], dtype=np.float64),
-        eps=float(doc["eps"]),
-        classes=np.array(doc["classes"], dtype=np.int64),
-        class_means=np.array(doc["class_means"], dtype=np.float64).reshape(
+    """Inverse of save_model; malformed JSON or a missing or ill-typed field
+    raises InvalidModel."""
+    try:
+        doc = json.loads(text)
+        kern = doc["kernel"]
+        spec = KernelSpec(
+            kind=kern["kind"], gamma=kern["gamma"], degree=kern["degree"], coef=kern["coef"]
+        )
+        m = len(doc["labels"])
+        samples = np.array(doc["samples"], dtype=np.float64)
+        sig = np.array(doc["sigmas"], dtype=np.float64).reshape(m, -1)
+        means = np.array(doc["class_means"], dtype=np.float64).reshape(
             len(doc["classes"]), -1
-        ),
-        achieved_all=bool(doc["achieved_all"]),
-    )
+        )
+        if samples.ndim != 2 or len(samples) != m or means.shape[1] != sig.shape[1]:
+            raise InvalidModel("samples, labels, sigmas and class_means disagree in shape")
+        return GdaModel(
+            samples=samples,
+            labels=np.array(doc["labels"], dtype=np.int64),
+            spec=spec,
+            sigmas=sig,
+            etas=np.array(doc["etas"], dtype=np.float64),
+            eps=float(doc["eps"]),
+            classes=np.array(doc["classes"], dtype=np.int64),
+            class_means=means,
+            achieved_all=bool(doc["achieved_all"]),
+        )
+    except KeyError as exc:
+        raise InvalidModel(f"missing field {exc}") from None
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidModel(str(exc)) from None

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .imgio import GrayImage, Rect, region_histogram
 
 __all__ = [
@@ -34,11 +35,11 @@ class SplitPolicy:
 
     def __post_init__(self):
         if not (0 <= self.max_depth <= 12):
-            raise ValueError("max_depth must be in [0, 12]")
+            raise InvalidArgument("max_depth must be in [0, 12]")
         if self.min_side < 2:
-            raise ValueError("min_side must be >= 2")
-        if self.var_threshold < 0:
-            raise ValueError("var_threshold must be nonnegative")
+            raise InvalidArgument("min_side must be >= 2")
+        if not self.var_threshold >= 0:
+            raise InvalidArgument("var_threshold must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -125,15 +126,7 @@ def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadT
 
 def leaves(tree: QuadTree) -> list:
     """Leaves in depth-first NW, NE, SW, SE order; they tile the image."""
-    out = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append(node)
-        else:
-            stack.extend(reversed(node.children))
-    return out
+    return [node for node in iter_nodes(tree) if node.is_leaf]
 
 
 def iter_nodes(tree: QuadTree):

@@ -4,8 +4,9 @@ The objective blends the normalized Otsu between-class variance with the
 normalized Kapur two-class entropy under a complexity-adaptive weight, is
 made continuous in the threshold by piecewise-linear interpolation of the
 histogram's cumulative sums, and is maximized by a 1-D Nelder-Mead simplex
-followed by rounding and a local integer refinement. An exhaustive
-256-candidate oracle backs every optimizer claim.
+followed by rounding and a local integer refinement. Refinement and the
+exhaustive 256-candidate oracle, which backs every optimizer claim, read
+the same table of J at the integer knots, where the interpolation is exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyHistogram, ReportTreeMismatch
+from .errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch
 from .imgio import GrayImage, Rect
 from .stratify import QuadTree, RegionNode, leaves, region_complexity, region_histogram
 
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 _LN256 = math.log(256.0)
+_KNOTS = np.arange(256.0)
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,9 @@ class ObjectiveWeights:
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.w_var < 0 or self.w_ent < 0 or self.w_var + self.w_ent <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
+        s = self.w_var + self.w_ent
+        if not (self.w_var >= 0 and self.w_ent >= 0 and 0 < s < math.inf):
+            raise InvalidArgument("weights must be nonnegative with finite positive sum")
 
     def effective(self, complexity: float) -> tuple:
         """(w_var, w_ent) actually applied; always nonnegative, summing to 1."""
@@ -65,24 +68,16 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class SimplexParams:
+    """Stopping rule of the simplex: iteration cap and vertex-gap tolerance."""
+
     max_iter: int = 200
     diameter_tol: float = 0.5
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
 
     def __post_init__(self):
-        ok = (
-            self.max_iter >= 1
-            and self.diameter_tol > 0
-            and self.reflection > 0
-            and self.expansion > self.reflection
-            and 0 < self.contraction < 1
-            and 0 < self.shrink < 1
-        )
-        if not ok:
-            raise ValueError("invalid simplex parameters")
+        if self.max_iter < 1:
+            raise InvalidArgument("max_iter must be >= 1")
+        if not self.diameter_tol > 0:
+            raise InvalidArgument("diameter_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,10 @@ def nelder_mead_1d(
 ):
     """Maximize f with a 2-vertex Nelder-Mead simplex started at {x0, x0+16}.
 
-    Returns (x_best, f_best, iterations, converged).
+    Reflection 1, expansion 2 and contraction 0.5 are fixed. With two
+    vertices the contraction point is also the shrink point, so a contraction
+    always replaces the worst vertex. Returns (x_best, f_best, iterations,
+    converged).
     """
     verts = [float(x0), float(x0) + 16.0]
     fvals = [f(verts[0]), f(verts[1])]
@@ -184,10 +182,10 @@ def nelder_mead_1d(
             fvals.reverse()
         best, worst = verts
         fb, fw = fvals
-        xr = best + params.reflection * (best - worst)
+        xr = best + (best - worst)
         fr = f(xr)
         if fr > fb:
-            xe = best + params.expansion * (best - worst)
+            xe = best + 2.0 * (best - worst)
             fe = f(xe)
             if fe > fr:
                 verts[1], fvals[1] = xe, fe
@@ -196,13 +194,8 @@ def nelder_mead_1d(
         elif fr > fw:
             verts[1], fvals[1] = xr, fr
         else:
-            xc = best + params.contraction * (worst - best)
-            fc = f(xc)
-            if fc > fw:
-                verts[1], fvals[1] = xc, fc
-            else:
-                xs = best + params.shrink * (worst - best)
-                verts[1], fvals[1] = xs, f(xs)
+            xc = best + 0.5 * (worst - best)
+            verts[1], fvals[1] = xc, f(xc)
         iters += 1
     if fvals[1] > fvals[0]:
         verts.reverse()
@@ -211,27 +204,19 @@ def nelder_mead_1d(
     return verts[0], fvals[0], iters, converged
 
 
-def _refine_integer(tab: _Tables, t_star: float, wv: float, we: float) -> int:
-    """Round, scan a +-3 window (smallest-t ties), then hill-climb to a
-    strict integer local maximum."""
+def _refine_integer(j: np.ndarray, t_star: float) -> int:
+    """Round, scan a +-3 window of the knot table j (smallest-t ties), then
+    hill-climb to a strict integer local maximum."""
     t0 = int(np.floor(min(max(t_star, 0.0), 255.0) + 0.5))
     lo, hi = max(0, t0 - 3), min(255, t0 + 3)
-    cand = np.arange(lo, hi + 1)
-    jw = tab.evaluate(cand.astype(np.float64), wv, we)
-    t = int(cand[int(np.argmax(jw))])  # first max = smallest tie
-    jt = tab.evaluate(float(t), wv, we)
+    t = lo + int(np.argmax(j[lo : hi + 1]))  # first max = smallest tie
     while True:
-        if t < 255:
-            up = tab.evaluate(float(t + 1), wv, we)
-            if up > jt:
-                t, jt = t + 1, up
-                continue
-        if t > 0:
-            dn = tab.evaluate(float(t - 1), wv, we)
-            if dn > jt:
-                t, jt = t - 1, dn
-                continue
-        return t
+        if t < 255 and j[t + 1] > j[t]:
+            t += 1
+        elif t > 0 and j[t - 1] > j[t]:
+            t -= 1
+        else:
+            return t
 
 
 def optimize_leaf(
@@ -243,18 +228,19 @@ def optimize_leaf(
     """Simplex search from the region mean, then integer refinement.
 
     The returned threshold is always an integer local maximum of J over its
-    integer neighbors.
+    integer neighbors, and objective_value is J's knot-table entry there.
     """
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
     x_star, _, iters, converged = nelder_mead_1d(
         lambda t: tab.evaluate(t, wv, we), tab.mean, params
     )
-    t = _refine_integer(tab, x_star, wv, we)
+    j = tab.evaluate(_KNOTS, wv, we)
+    t = _refine_integer(j, x_star)
     return LeafThreshold(
         threshold=t,
         continuous_optimum=float(x_star),
-        objective_value=float(tab.evaluate(float(t), wv, we)),
+        objective_value=float(j[t]),
         w_var=wv,
         w_ent=we,
         iterations=iters,
@@ -268,7 +254,7 @@ def oracle_best_threshold(
     """Exhaustive argmax of J over all 256 integer thresholds (smallest-t tie)."""
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
-    j = tab.evaluate(np.arange(256, dtype=np.float64), wv, we)
+    j = tab.evaluate(_KNOTS, wv, we)
     t = int(np.argmax(j))
     return t, float(j[t])
 

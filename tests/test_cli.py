@@ -253,3 +253,48 @@ def test_import_does_not_load_scipy():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("segment", "--min-side", 1),
+        ("segment", "--max-depth", 99),
+        ("segment", "--max-iter", 0),
+        ("segment", "--w-var", -1),
+        ("segment", "--w-var", "nan"),
+        ("gda-train", "--gamma", -1),
+        ("gda-train", "--discriminants", 0),
+    ],
+)
+def test_cli_out_of_range_flag_reports_category(tmp_path, capsys, flags):
+    command, flag, value = flags
+    if command == "segment":
+        img_path, _ = quadrant_pgm(tmp_path)
+        args = ["segment", img_path, "--mask-out", tmp_path / "m.pgm",
+                "--report-out", tmp_path / "r.json"]
+    else:
+        csv_path, _ = blob_csv(tmp_path)
+        args = ["gda-train", csv_path, "--model-out", tmp_path / "m.json"]
+    assert run(args + [flag, value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidArgument:")
+
+
+@pytest.mark.parametrize("command", ["gda-eval", "gda-project"])
+@pytest.mark.parametrize("text", ["{not json", "{}", "flat samples"])
+def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
+    csv_path, _ = blob_csv(tmp_path)
+    model_path = tmp_path / "model.json"
+    if text == "flat samples":  # well-formed JSON, samples not (M, n)
+        run(["gda-train", csv_path, "--model-out", model_path])
+        doc = json.loads(model_path.read_text())
+        doc["samples"] = [row[0] for row in doc["samples"]]
+        text = json.dumps(doc)
+    model_path.write_text(text)
+    args = [command, model_path, csv_path]
+    if command == "gda-project":
+        args += ["--out", tmp_path / "o.csv"]
+    assert run(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidModel:")

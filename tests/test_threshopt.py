@@ -180,6 +180,18 @@ def test_optimize_leaf_threshold_is_integer_local_max():
             assert j[t] >= j[t + 1] - 1e-15
 
 
+def test_optimize_leaf_objective_value_is_knot_table_entry():
+    rng = np.random.default_rng(34)
+    for _ in range(2000):
+        hist = rng.integers(0, 30, size=256)
+        hist[rng.integers(0, 256)] += 10
+        complexity = float(rng.uniform(0, 1))
+        res = optimize_leaf(hist, complexity)
+        wv, we = ObjectiveWeights().effective(complexity)
+        j = objective(hist, np.arange(256.0), ObjectiveWeights(wv, we, adaptive=False))
+        assert res.objective_value == j[res.threshold]
+
+
 def test_optimize_leaf_attains_oracle_on_clean_bimodal():
     rng = np.random.default_rng(35)
     for _ in range(20):
@@ -282,8 +294,6 @@ def test_simplex_params_validation():
         SimplexParams(max_iter=0)
     with pytest.raises(ValueError):
         SimplexParams(diameter_tol=0.0)
-    with pytest.raises(ValueError):
-        SimplexParams(expansion=0.5)
 
 
 def test_objective_weights_validation():
