@@ -10,7 +10,7 @@ class StratsegError(Exception):
 
 
 class InvalidArgument(StratsegError, ValueError):
-    """A parameter (policy, weights, simplex, kernel, d) is out of range."""
+    """A parameter (policy, weights, simplex, kernel, d, pixels) is out of range."""
 
 
 # --- image I/O ---

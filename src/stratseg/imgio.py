@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     MalformedHeader,
     RectOutOfBounds,
     TruncatedData,
@@ -34,10 +35,12 @@ class GrayImage:
     def __post_init__(self):
         arr = np.asarray(self.pixels)
         if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("pixels must be a non-empty 2-D array")
+            raise InvalidArgument("pixels must be a non-empty 2-D array")
         if arr.dtype != np.uint8:
-            if np.any(arr < 0) or np.any(arr > 255):
-                raise ValueError("intensities must lie in [0, 255]")
+            if not np.all((arr >= 0) & (arr <= 255)):  # NaN fails too
+                raise InvalidArgument("intensities must lie in [0, 255]")
+            if not np.all(arr == np.trunc(arr)):
+                raise InvalidArgument("intensities must be whole numbers")
             arr = arr.astype(np.uint8)
         arr = arr.copy()
         arr.setflags(write=False)
@@ -133,6 +136,8 @@ def load_pgm(data: bytes) -> GrayImage:
         if len(raster) < npix:
             raise TruncatedData(f"expected {npix} bytes, got {len(raster)}")
         arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+        if maxval < 255 and int(arr.max()) > maxval:
+            raise MalformedHeader("sample exceeds maxval")
     else:
         values = []
         for tok, _ in gen:
@@ -142,12 +147,12 @@ def load_pgm(data: bytes) -> GrayImage:
                 raise MalformedHeader(f"non-numeric sample {tok!r}") from None
         if len(values) < npix:
             raise TruncatedData(f"expected {npix} samples, got {len(values)}")
-        arr = np.array(values[:npix], dtype=np.int64).reshape(height, width)
-        if arr.max(initial=0) > maxval:
+        values = values[:npix]
+        if min(values) < 0:
+            raise MalformedHeader("negative sample")
+        if max(values) > maxval:
             raise MalformedHeader("sample exceeds maxval")
-        arr = arr.astype(np.uint8)
-    if int(arr.max(initial=0)) > maxval:
-        raise MalformedHeader("sample exceeds maxval")
+        arr = np.array(values, dtype=np.uint8).reshape(height, width)
     return GrayImage(arr)
 
 

@@ -14,6 +14,7 @@ disagrees with ground truth; reliability is the Dice coefficient
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,8 +45,10 @@ class ShapeSpec:
     def __post_init__(self):
         if self.kind not in ("ellipse", "rectangle"):
             raise InvalidSpec(f"unknown shape kind {self.kind!r}")
-        if self.rx <= 0 or self.ry <= 0:
-            raise InvalidSpec("shape extents must be positive")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise InvalidSpec("shape center must be finite")
+        if not (0 < self.rx < math.inf and 0 < self.ry < math.inf):
+            raise InvalidSpec("shape extents must be positive and finite")
         if not (0 <= self.intensity <= 255):
             raise InvalidSpec("shape intensity must lie in [0, 255]")
 
@@ -70,8 +73,10 @@ class PhantomSpec:
             raise InvalidSpec("phantom dimensions must be positive")
         if not (0 <= self.background <= 255):
             raise InvalidSpec("background must lie in [0, 255]")
-        if self.noise_sigma < 0:
-            raise InvalidSpec("noise sigma must be nonnegative")
+        if not math.isfinite(self.ramp_amplitude):
+            raise InvalidSpec("ramp amplitude must be finite")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise InvalidSpec("noise sigma must be nonnegative and finite")
         object.__setattr__(self, "shapes", tuple(self.shapes))
 
     def to_json(self) -> str:

@@ -4,10 +4,19 @@ The objective blends the normalized Otsu between-class variance with the
 normalized Kapur two-class entropy under a complexity-adaptive weight, is
 made continuous in the threshold by piecewise-linear interpolation of the
 histogram's cumulative sums, and is maximized by a 1-D Nelder-Mead simplex
-followed by rounding and a local integer refinement. Refinement and the
-exhaustive 256-candidate oracle, which backs every optimizer claim, read
-the same table of J at the integer knots, where the interpolation is exact.
-"""
+followed by rounding and a local integer refinement.
+
+J has two evaluation paths over the same cumulative tables. A simplex probe
+(`_Tables.probe`) computes J at one real threshold in plain Python floats,
+avoiding numpy's per-call overhead, and returns the same bits as the numpy
+formula on a 0-d array: the square is written `** 2`, which like numpy's
+float64 scalar power calls C pow() (`x * x` can differ in the last bit), and
+the logs go through `np.log`, because `math.log` differs in the last bit on
+a few inputs. The knot table (`_Tables.knots`) computes J at the 256 integer
+knots in one array call, straight from the tables: at a knot the
+interpolation adds 0 * diff, so it needs no clip, floor or interpolation.
+Refinement and the exhaustive 256-candidate oracle, which backs every
+optimizer claim, read that table."""
 
 from __future__ import annotations
 
@@ -35,7 +44,6 @@ __all__ = [
 ]
 
 _LN256 = math.log(256.0)
-_KNOTS = np.arange(256.0)
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,7 @@ class _Tables:
 
     def __init__(self, hist):
         counts = np.asarray(hist, dtype=np.float64)
-        n = counts.sum()
+        n = float(counts.sum())
         if n <= 0:
             raise EmptyHistogram("histogram has zero total count")
         levels = np.arange(256, dtype=np.float64)
@@ -118,10 +126,15 @@ class _Tables:
         self.cum_w = np.cumsum(counts)
         self.cum_s = np.cumsum(counts * levels)
         p = counts / n
-        a = np.where(p > 0, -p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(p > 0, -p * np.log(p), 0.0)
         self.cum_a = np.cumsum(a)
-        self.a_tot = self.cum_a[-1]
-        self.s_tot = self.cum_s[-1]
+        # the same tables as Python floats, for probe()
+        self.lw = self.cum_w.tolist()
+        self.ls = self.cum_s.tolist()
+        self.la = self.cum_a.tolist()
+        self.a_tot = self.la[-1]
+        self.s_tot = self.ls[-1]
         self.mean = self.s_tot / n
         self.var_tot = float((counts * (levels - self.mean) ** 2).sum() / n)
 
@@ -133,33 +146,70 @@ class _Tables:
         hi = np.minimum(k + 1, 255)
         return table[k] + frac * (table[hi] - table[k])
 
-    def evaluate(self, t, w_var: float, w_ent: float):
-        """J(t) for scalar or array t; t is clamped into [0, 255]."""
-        t_arr = np.clip(np.asarray(t, dtype=np.float64), 0.0, 255.0)
-        w = self._interp(self.cum_w, t_arr)
-        s = self._interp(self.cum_s, t_arr)
-        a = self._interp(self.cum_a, t_arr)
+    def _j(self, w, s, a, w_var: float, w_ent: float) -> np.ndarray:
+        """J from arrays of interpolated cumulative weight, sum and entropy."""
         om0 = w / self.n
         om1 = 1.0 - om0
+        # lanes that divide by zero or take log(0) are dropped by np.where
         with np.errstate(divide="ignore", invalid="ignore"):
-            mu0 = np.where(w > 0, s / np.where(w > 0, w, 1.0), 0.0)
-            mu1 = np.where(
-                om1 > 0, (self.s_tot - s) / np.where(om1 > 0, self.n - w, 1.0), 0.0
-            )
+            mu0 = np.where(w > 0, s / w, 0.0)
+            mu1 = np.where(om1 > 0, (self.s_tot - s) / (self.n - w), 0.0)
             bcv = om0 * om1 * (mu0 - mu1) ** 2
             v = bcv / self.var_tot if self.var_tot > 0 else np.zeros_like(bcv)
-            h0 = np.where(om0 > 0, np.log(np.where(om0 > 0, om0, 1.0)) + a / np.where(om0 > 0, om0, 1.0), 0.0)
-            rest = self.a_tot - a
-            h1 = np.where(om1 > 0, np.log(np.where(om1 > 0, om1, 1.0)) + rest / np.where(om1 > 0, om1, 1.0), 0.0)
+            h0 = np.where(om0 > 0, np.log(om0) + a / om0, 0.0)
+            h1 = np.where(om1 > 0, np.log(om1) + (self.a_tot - a) / om1, 0.0)
         e = np.clip((h0 + h1) / (2.0 * _LN256), 0.0, 1.0)
-        j = w_var * v + w_ent * e
-        return float(j) if np.isscalar(t) or np.ndim(t) == 0 else j
+        return w_var * v + w_ent * e
+
+    def evaluate(self, t, w_var: float, w_ent: float) -> np.ndarray:
+        """J on an array of t; t is clamped into [0, 255]."""
+        t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 255.0)
+        return self._j(
+            self._interp(self.cum_w, t),
+            self._interp(self.cum_s, t),
+            self._interp(self.cum_a, t),
+            w_var,
+            w_ent,
+        )
+
+    def knots(self, w_var: float, w_ent: float) -> np.ndarray:
+        """J at the 256 integer knots, where the interpolation is the table."""
+        return self._j(self.cum_w, self.cum_s, self.cum_a, w_var, w_ent)
+
+    def probe(self, t: float, w_var: float, w_ent: float) -> float:
+        """J at one real t (clamped into [0, 255]; NaN gives NaN) in plain
+        floats, bit-identical to the array formula on a 0-d array (see the
+        module docstring for `** 2` and np.log)."""
+        if t != t:
+            return math.nan
+        t = 0.0 if t <= 0.0 else min(t, 255.0)
+        k = int(t)
+        frac = t - k
+        hi = k + 1 if k < 255 else 255
+        lw, ls, la = self.lw, self.ls, self.la
+        w = lw[k] + frac * (lw[hi] - lw[k])
+        s = ls[k] + frac * (ls[hi] - ls[k])
+        a = la[k] + frac * (la[hi] - la[k])
+        n = self.n
+        om0 = w / n
+        om1 = 1.0 - om0
+        mu0 = s / w if w > 0 else 0.0
+        mu1 = (self.s_tot - s) / (n - w) if om1 > 0 else 0.0
+        bcv = om0 * om1 * (mu0 - mu1) ** 2
+        v = bcv / self.var_tot if self.var_tot > 0 else 0.0
+        h0 = float(np.log(om0)) + a / om0 if om0 > 0 else 0.0
+        h1 = float(np.log(om1)) + (self.a_tot - a) / om1 if om1 > 0 else 0.0
+        e = (h0 + h1) / (2.0 * _LN256)
+        e = 0.0 if e <= 0.0 else min(e, 1.0)  # np.clip: -0.0 -> 0.0, NaN kept
+        return w_var * v + w_ent * e
 
 
 def objective(hist, t, weights: ObjectiveWeights = ObjectiveWeights(), complexity: float = 1.0):
     """Weighted threshold objective J(t); accepts scalar or array t."""
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
+    if np.ndim(t) == 0:
+        return tab.probe(float(t), wv, we)
     return tab.evaluate(t, wv, we)
 
 
@@ -233,9 +283,9 @@ def optimize_leaf(
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
     x_star, _, iters, converged = nelder_mead_1d(
-        lambda t: tab.evaluate(t, wv, we), tab.mean, params
+        lambda t: tab.probe(t, wv, we), tab.mean, params
     )
-    j = tab.evaluate(_KNOTS, wv, we)
+    j = tab.knots(wv, we)
     t = _refine_integer(j, x_star)
     return LeafThreshold(
         threshold=t,
@@ -254,7 +304,7 @@ def oracle_best_threshold(
     """Exhaustive argmax of J over all 256 integer thresholds (smallest-t tie)."""
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
-    j = tab.evaluate(_KNOTS, wv, we)
+    j = tab.knots(wv, we)
     t = int(np.argmax(j))
     return t, float(j[t])
 

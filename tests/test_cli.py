@@ -234,6 +234,31 @@ def test_cli_wrong_column_count_on_project(tmp_path, capsys):
     assert "error: DimensionMismatch:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("ramp_amplitude", "NaN"),
+        ("noise_sigma", "NaN"),
+        ("noise_sigma", "Infinity"),
+        ("cx", "NaN"),
+        ("cy", "Infinity"),
+        ("rx", "NaN"),
+        ("ry", "Infinity"),
+    ],
+)
+def test_cli_non_finite_phantom_spec_reports_category(tmp_path, capsys, field, value):
+    doc = json.loads(phantom_spec_file(tmp_path).read_text())
+    target = doc if field in doc else doc["shapes"][0]
+    target[field] = "@"
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc).replace('"@"', value))
+    img = tmp_path / "img.pgm"
+    assert run(["phantom", spec, "--image", img, "--mask", tmp_path / "m.pgm"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidSpec:")
+    assert not img.exists()
+
+
 def test_cli_non_finite_feature_reports_category(tmp_path, capsys):
     csv_path = tmp_path / "nan.csv"
     csv_path.write_text("0.0,1.0,0\n0.5,nan,0\n3.0,2.0,1\n3.5,2.5,1\n")

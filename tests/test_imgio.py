@@ -3,6 +3,7 @@ import pytest
 
 from stratseg import GrayImage, Rect, load_pgm, region_histogram, save_pgm
 from stratseg.errors import (
+    InvalidArgument,
     MalformedHeader,
     RectOutOfBounds,
     TruncatedData,
@@ -74,6 +75,8 @@ def test_roundtrip_canonical_bytes():
         (b"P2 2 1 255 7", TruncatedData),
         (b"", MalformedHeader),
         (b"P2 1 1 100 200", MalformedHeader),  # sample exceeds maxval
+        (b"P2\n2 2\n255\n-5 10 20 30\n", MalformedHeader),  # negative sample
+        (b"P2 1 1 255 " + b"9" * 30, MalformedHeader),  # beyond int64
     ],
 )
 def test_parse_errors(data, exc):
@@ -126,3 +129,14 @@ def test_grayimage_immutable():
     img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         img.pixels[0, 0] = 1
+
+
+def test_grayimage_rejects_nan():
+    with pytest.raises(InvalidArgument):
+        GrayImage(np.array([[np.nan, 3.0]]))
+
+
+def test_grayimage_rejects_fractional_intensity():
+    with pytest.raises(InvalidArgument):
+        GrayImage(np.array([[1.7, 3.0]]))
+    assert GrayImage(np.array([[1.0, 3.0]])).pixels.tolist() == [[1, 3]]

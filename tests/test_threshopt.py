@@ -17,6 +17,10 @@ from stratseg import (
     threshold_tree,
 )
 from stratseg.errors import EmptyHistogram, ReportTreeMismatch
+from stratseg.stratify import stats_from_histogram
+from stratseg.threshopt import _Tables
+
+from objective_reference import ReferenceTables
 
 
 def discrete_objective(hist, t, w_var, w_ent):
@@ -121,6 +125,81 @@ def test_objective_empty_histogram_raises():
         objective(np.zeros(256, dtype=np.int64), 10.0, FIXED)
 
 
+def criterion_1_histograms():
+    """The 500 (histogram, complexity) pairs of acceptance criterion 1."""
+    rng = np.random.default_rng(101)
+    g = np.arange(256)
+    for _ in range(500):
+        m0 = rng.uniform(30, 100)
+        m1 = rng.uniform(150, 230)
+        s0, s1 = rng.uniform(5, 25, size=2)
+        frac = rng.uniform(0.3, 0.7)
+        pdf = frac * np.exp(-0.5 * ((g - m0) / s0) ** 2) / s0
+        pdf += (1 - frac) * np.exp(-0.5 * ((g - m1) / s1) ** 2) / s1
+        hist = np.rint(5000 * pdf / pdf.sum()).astype(np.int64)
+        hist[int(m0)] += 1
+        yield hist, stats_from_histogram(hist).entropy_bits / 8.0
+
+
+def seed_34_histograms(count=2000):
+    """The random (histogram, complexity) pairs of the seed-34 leaf tests."""
+    rng = np.random.default_rng(34)
+    for _ in range(count):
+        hist = rng.integers(0, 30, size=256)
+        hist[rng.integers(0, 256)] += 10
+        yield hist, float(rng.uniform(0, 1))
+
+
+EDGE_HISTOGRAMS = [
+    spike_hist((0, 64)),  # om1 == 0 everywhere: all mass at level 0
+    spike_hist((255, 64)),  # om0 == 0 below 255: all mass at level 255
+    spike_hist((120, 1)),  # a single level: var_tot == 0
+    spike_hist((7, 3), (8, 5)),
+]
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_probe_is_bit_identical_to_0d_reference():
+    rng = np.random.default_rng(39)
+    cases = list(criterion_1_histograms()) + list(seed_34_histograms())
+    cases += [(h, c) for h in EDGE_HISTOGRAMS for c in (0.0, 0.5, 1.0)]
+    for i, (hist, complexity) in enumerate(cases):
+        wv, we = ObjectiveWeights().effective(complexity)
+        ref, tab = ReferenceTables(hist), _Tables(hist)
+        if i >= 2500:  # edge histograms: a grid across both clamps
+            ts = np.arange(-2.5, 258.0, 1.25).tolist()
+        else:
+            ts = [-7.5, 300.25, ref.mean, ref.mean + 16.0]
+            ts += [rng.uniform(0.0, 255.0), float(rng.integers(0, 256))]
+        for t in ts:
+            assert bits(tab.probe(t, wv, we)) == bits(ref.evaluate(t, wv, we)), (t, hist)
+
+
+def test_knot_table_is_bit_identical_to_array_evaluation():
+    cases = list(criterion_1_histograms()) + list(seed_34_histograms())
+    cases += [(h, c) for h in EDGE_HISTOGRAMS for c in (0.0, 0.5, 1.0)]
+    knots = np.arange(256.0)
+    for hist, complexity in cases:
+        wv, we = ObjectiveWeights().effective(complexity)
+        tab = _Tables(hist)
+        table = tab.knots(wv, we)
+        assert np.array_equal(bits(table), bits(tab.evaluate(knots, wv, we)))
+        assert np.array_equal(bits(table), bits(ReferenceTables(hist).evaluate(knots, wv, we)))
+
+
+def test_scalar_objective_is_probe():
+    hist = bimodal_hist(np.random.default_rng(40))
+    ref = ReferenceTables(hist)
+    for t in (-3.0, 17, np.float32(99.5), np.array(140.25), 255.0):
+        j = objective(hist, t, FIXED)
+        assert type(j) is float
+        assert bits(j) == bits(ref.evaluate(t, 0.7, 0.3))
+    assert math.isnan(objective(hist, math.nan, FIXED))
+
+
 def test_effective_weights_normalized_and_adaptive():
     w = ObjectiveWeights(w_var=0.7, w_ent=0.3, adaptive=True)
     assert w.effective(0.0) == (1.0, 0.0)
@@ -181,11 +260,7 @@ def test_optimize_leaf_threshold_is_integer_local_max():
 
 
 def test_optimize_leaf_objective_value_is_knot_table_entry():
-    rng = np.random.default_rng(34)
-    for _ in range(2000):
-        hist = rng.integers(0, 30, size=256)
-        hist[rng.integers(0, 256)] += 10
-        complexity = float(rng.uniform(0, 1))
+    for hist, complexity in seed_34_histograms():
         res = optimize_leaf(hist, complexity)
         wv, we = ObjectiveWeights().effective(complexity)
         j = objective(hist, np.arange(256.0), ObjectiveWeights(wv, we, adaptive=False))
