@@ -89,6 +89,8 @@ def test_spec_json_roundtrip():
         lambda: ShapeSpec("triangle", 0, 0, 1, 1, 10),
         lambda: ShapeSpec("ellipse", 0, 0, 0, 1, 10),
         lambda: ShapeSpec("ellipse", 0, 0, 1, 1, 999),
+        lambda: PhantomSpec.from_json("{not json"),
+        lambda: PhantomSpec.from_json('{"height": 5}'),
         lambda: PhantomSpec(10, 10, ramp_amplitude=float("nan")),
         lambda: PhantomSpec(10, 10, ramp_amplitude=float("inf")),
         lambda: PhantomSpec(10, 10, noise_sigma=float("nan")),
@@ -97,8 +99,6 @@ def test_spec_json_roundtrip():
         lambda: ShapeSpec("ellipse", 0, float("-inf"), 1, 1, 10),
         lambda: ShapeSpec("ellipse", 0, 0, float("nan"), 1, 10),
         lambda: ShapeSpec("rectangle", 0, 0, 1, float("inf"), 10),
-        lambda: PhantomSpec.from_json("{not json"),
-        lambda: PhantomSpec.from_json('{"height": 5}'),
     ],
 )
 def test_invalid_specs_rejected(mutate):
