@@ -127,7 +127,9 @@ def cmd_gda_train(args) -> int:
 
 
 def _load_feature_rows(text: str, header: bool, n_features: int):
-    """Rows of floats; a trailing integer label column is passed through."""
+    """Rows of floats; a trailing integer label column is passed through.
+
+    Either every row carries a label or none does."""
     feats, labels = [], []
     for i, parts in enumerate(kgda.csv_rows(text, header)):
         if len(parts) == n_features:
@@ -138,6 +140,10 @@ def _load_feature_rows(text: str, header: bool, n_features: int):
         else:
             raise DimensionMismatch(
                 f"row {i}: {len(parts)} columns, model expects {n_features} features"
+            )
+        if labels and (lab is None) != (labels[0] is None):
+            raise DimensionMismatch(
+                f"row {i}: {'no' if lab is None else 'a'} label column, unlike row 0"
             )
         try:
             feats.append([float(p) for p in parts])

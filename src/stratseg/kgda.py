@@ -13,6 +13,7 @@ orthonormality in extended precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -92,8 +93,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "polynomial"):
             raise InvalidArgument(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise InvalidArgument("gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise InvalidArgument("gamma must be positive and finite")
+        if not math.isfinite(self.coef):
+            raise InvalidArgument("coef must be finite")
         if self.degree < 1:
             raise InvalidArgument("degree must be >= 1")
 

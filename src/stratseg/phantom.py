@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,6 +59,16 @@ class ShapeSpec:
         return (np.abs(xs - self.cx) <= self.rx) & (np.abs(ys - self.cy) <= self.ry)
 
 
+def _whole(name: str, value) -> int:
+    """`value` as an int when it is a whole number (an int, or a float with no
+    fractional part); anything else, bools included, is InvalidSpec."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidSpec(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     width: int
@@ -69,10 +80,14 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("width", "height", "background", "seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.width < 1 or self.height < 1:
             raise InvalidSpec("phantom dimensions must be positive")
         if not (0 <= self.background <= 255):
             raise InvalidSpec("background must lie in [0, 255]")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be nonnegative")
         if not math.isfinite(self.ramp_amplitude):
             raise InvalidSpec("ramp amplitude must be finite")
         if not 0 <= self.noise_sigma < math.inf:
@@ -105,15 +120,17 @@ class PhantomSpec:
     def from_json(text: str) -> "PhantomSpec":
         try:
             doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise InvalidSpec("phantom spec must be a JSON object")
             shapes = tuple(ShapeSpec(**s) for s in doc.get("shapes", ()))
             return PhantomSpec(
-                width=int(doc["width"]),
-                height=int(doc["height"]),
-                background=int(doc.get("background", 0)),
+                width=doc["width"],
+                height=doc["height"],
+                background=doc.get("background", 0),
                 shapes=shapes,
                 ramp_amplitude=float(doc.get("ramp_amplitude", 0.0)),
                 noise_sigma=float(doc.get("noise_sigma", 0.0)),
-                seed=int(doc.get("seed", 0)),
+                seed=doc.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             if isinstance(exc, InvalidSpec):

@@ -4,6 +4,17 @@ A node splits into NW/NE/SW/SE quadrants (split point at the ceiling of half
 the side) while its intensity variance exceeds the policy threshold, the
 depth cap is not reached, and all four children keep at least `min_side`
 pixels per side. Leaves tile the image exactly.
+
+Histograms come from one pass over the pixels. Split points are nested (a
+ceil-split refines its parent's), so the cuts of every possible node down to
+depth d = min(max_depth, 6) form one tile grid of at most 64 x 64 tiles, and
+each node at depth <= d is an exact union of tiles. `build_quadtree` bins the
+image once into the (rows, cols, 256) int64 tile histograms, in row bands
+that never straddle a tile row, and gives each such node the sum of its
+tiles; a node deeper than the grid bins its own pixels. Counts are integers,
+so every histogram, and every `RegionStats`, equals a direct count. Each node
+keeps its histogram in `RegionNode.hist`, which `threshold_tree` reads and
+`node_to_dict` leaves out.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument
-from .imgio import GrayImage, Rect, region_histogram
+from .imgio import GrayImage, Rect, bin_rows, region_histogram
 
 __all__ = [
     "SplitPolicy",
@@ -25,6 +36,8 @@ __all__ = [
     "leaves",
     "region_complexity",
 ]
+
+_GRID_DEPTH = 6  # tile grid of at most 64 x 64 tiles: 8 MiB of int64 counts
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,8 @@ class RegionNode:
     depth: int
     stats: RegionStats
     children: tuple = ()  # empty for a leaf, else exactly 4 RegionNodes
+    # 256-bin int64 histogram of the rect, as `region_histogram` counts it
+    hist: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -101,18 +116,57 @@ def _may_split(r: Rect, policy: SplitPolicy) -> bool:
     return min(w1, r.w - w1) >= policy.min_side and min(h1, r.h - h1) >= policy.min_side
 
 
-def _build(img: GrayImage, rect: Rect, depth: int, policy: SplitPolicy) -> RegionNode:
-    stats = stats_from_histogram(region_histogram(img, rect))
+def _cuts(n: int, depth: int) -> list:
+    """Sorted distinct split positions, ends included, of [0, n) after
+    `depth` rounds of the `_child_rects` ceil-halving."""
+    cuts = [0, n]
+    for _ in range(depth):
+        mids = [a + math.ceil((b - a) / 2) for a, b in zip(cuts, cuts[1:])]
+        cuts = sorted(set(cuts + mids))
+    return cuts
+
+
+class _TileGrid:
+    """Histograms of the tiles cut by `depth` rounds of ceil-halving.
+
+    Every node down to `depth` is a union of tiles, and its histogram is the
+    sum of theirs; a deeper node bins its own pixels.
+    """
+
+    def __init__(self, img: GrayImage, depth: int):
+        self.img, self.depth = img, depth
+        self.xs, self.ys = _cuts(img.width, depth), _cuts(img.height, depth)
+        ntx = len(self.xs) - 1
+        # a pixel's bin is its level plus 256 times its tile column; each
+        # tile row is binned on its own, so no band straddles two
+        col_key = np.repeat(np.arange(ntx) << 8, np.diff(self.xs))
+        self.tiles = np.stack(
+            [
+                bin_rows(img.pixels[y0:y1], col_key, ntx * 256).reshape(ntx, 256)
+                for y0, y1 in zip(self.ys, self.ys[1:])
+            ]
+        )
+
+    def histogram(self, rect: Rect, depth: int) -> np.ndarray:
+        if depth > self.depth:
+            return region_histogram(self.img, rect)
+        xs, ys = self.xs, self.ys
+        tx, ty = xs.index(rect.x0), ys.index(rect.y0)
+        tx1, ty1 = xs.index(rect.x0 + rect.w), ys.index(rect.y0 + rect.h)
+        return self.tiles[ty:ty1, tx:tx1].sum(axis=(0, 1))
+
+
+def _build(grid: _TileGrid, rect: Rect, depth: int, policy: SplitPolicy) -> RegionNode:
+    hist = grid.histogram(rect, depth)
+    stats = stats_from_histogram(hist)
+    children = ()
     if (
         stats.variance > policy.var_threshold
         and depth < policy.max_depth
         and _may_split(rect, policy)
     ):
-        children = tuple(
-            _build(img, cr, depth + 1, policy) for cr in _child_rects(rect)
-        )
-        return RegionNode(rect, depth, stats, children)
-    return RegionNode(rect, depth, stats)
+        children = tuple(_build(grid, cr, depth + 1, policy) for cr in _child_rects(rect))
+    return RegionNode(rect, depth, stats, children, hist)
 
 
 def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadTree:
@@ -120,7 +174,8 @@ def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadT
 
     An image smaller than `min_side` simply yields a single-leaf tree.
     """
-    root = _build(img, Rect(0, 0, img.width, img.height), 0, policy)
+    grid = _TileGrid(img, min(policy.max_depth, _GRID_DEPTH))
+    root = _build(grid, Rect(0, 0, img.width, img.height), 0, policy)
     return QuadTree(root, (img.width, img.height), policy)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch
 from .imgio import GrayImage, Rect
-from .stratify import QuadTree, RegionNode, leaves, region_complexity, region_histogram
+from .stratify import QuadTree, RegionNode, leaves, region_complexity
 
 __all__ = [
     "ObjectiveWeights",
@@ -341,15 +341,18 @@ def threshold_tree(
     weights: ObjectiveWeights = ObjectiveWeights(),
     params: SimplexParams = SimplexParams(),
 ) -> ThresholdReport:
-    """Optimize one threshold per leaf, in deterministic leaf order."""
+    """Optimize one threshold per leaf, in deterministic leaf order.
+
+    `tree` is `build_quadtree(img, ...)`; each threshold is optimized on the
+    histogram its source node keeps, so no pixel is binned again here.
+    """
     cache = {}
     entries = []
     for leaf, source in _leaf_sources(tree):
         key = id(source)
         if key not in cache:
-            hist = region_histogram(img, source.rect)
             cache[key] = optimize_leaf(
-                hist, region_complexity(source), weights, params
+                source.hist, region_complexity(source), weights, params
             )
         base = cache[key]
         entries.append(
@@ -370,12 +373,13 @@ def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImag
             f"{len(report.entries)} entries for {len(leaf_list)} leaves"
         )
     mask = np.zeros((img.height, img.width), dtype=np.uint8)
+    # foreground flags are written in place as 0/1 bytes, then scaled once
+    flags = mask.view(bool)
     for leaf, entry in zip(leaf_list, report.entries):
         if entry.rect != leaf.rect:
             raise ReportTreeMismatch(f"entry rect {entry.rect} != leaf rect {leaf.rect}")
         r = leaf.rect
-        sub = img.pixels[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w]
-        mask[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] = np.where(
-            sub <= entry.threshold, 0, 255
-        ).astype(np.uint8)
+        rows, cols = slice(r.y0, r.y0 + r.h), slice(r.x0, r.x0 + r.w)
+        np.greater(img.pixels[rows, cols], entry.threshold, out=flags[rows, cols])
+    mask *= 255
     return GrayImage(mask)

@@ -259,6 +259,36 @@ def test_cli_non_finite_phantom_spec_reports_category(tmp_path, capsys, field, v
     assert not img.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[1, 2]", '{"width": 16, "height": 16, "seed": -1, "noise_sigma": 3}',
+     '{"width": 8.5, "height": 16}'],
+)
+def test_cli_malformed_phantom_spec_reports_category(tmp_path, capsys, text):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    img = tmp_path / "img.pgm"
+    assert run(["phantom", spec, "--image", img, "--mask", tmp_path / "m.pgm"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvalidSpec:")
+    assert not img.exists()
+
+
+@pytest.mark.parametrize("text", ["0.0,0.0,1\n5.0,0.0\n", "0.0,0.0\n5.0,0.0,1\n"])
+def test_cli_mixed_label_rows_on_project(tmp_path, capsys, text):
+    csv_path, _ = blob_csv(tmp_path)
+    model_path = tmp_path / "model.json"
+    run(["gda-train", csv_path, "--model-out", model_path])
+    capsys.readouterr()
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text(text)
+    out = tmp_path / "o.csv"
+    assert run(["gda-project", model_path, mixed, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DimensionMismatch:")
+    assert not out.exists()
+
+
 def test_cli_non_finite_feature_reports_category(tmp_path, capsys):
     csv_path = tmp_path / "nan.csv"
     csv_path.write_text("0.0,1.0,0\n0.5,nan,0\n3.0,2.0,1\n3.5,2.5,1\n")
@@ -290,6 +320,8 @@ def test_import_does_not_load_scipy():
         ("segment", "--w-var", "nan"),
         ("gda-train", "--gamma", -1),
         ("gda-train", "--discriminants", 0),
+        ("gda-train", "--gamma", "inf"),
+        ("gda-train", "--coef", "nan"),
     ],
 )
 def test_cli_out_of_range_flag_reports_category(tmp_path, capsys, flags):

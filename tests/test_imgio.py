@@ -110,6 +110,22 @@ def test_histogram_additivity_over_tiling():
     assert np.array_equal(full, oracle)
 
 
+@pytest.mark.parametrize("w,h", [(1000, 700), (1, 600_000), (3000, 1)])
+def test_histogram_over_many_row_bands_matches_flat_count(w, h):
+    # binning runs in bands of about 2**18 pixels; these regions span
+    # several bands, end in a partial one, or are one row or column wide
+    rng = np.random.default_rng(w + h)
+    img = GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+    hist = region_histogram(img, Rect(0, 0, w, h))
+    assert hist.dtype == np.int64
+    assert np.array_equal(hist, np.bincount(img.pixels.ravel(), minlength=256))
+    if h > 1:  # an offset region whose bands start mid-image
+        r = Rect(0, 1, w, h - 1)
+        assert np.array_equal(
+            region_histogram(img, r), np.bincount(img.pixels[1:].ravel(), minlength=256)
+        )
+
+
 def test_histogram_mass_equals_area():
     rng = np.random.default_rng(14)
     img = GrayImage(rng.integers(0, 256, size=(20, 20), dtype=np.uint8))

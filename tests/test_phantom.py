@@ -99,11 +99,26 @@ def test_spec_json_roundtrip():
         lambda: ShapeSpec("ellipse", 0, float("-inf"), 1, 1, 10),
         lambda: ShapeSpec("ellipse", 0, 0, float("nan"), 1, 10),
         lambda: ShapeSpec("rectangle", 0, 0, 1, float("inf"), 10),
+        lambda: PhantomSpec.from_json("[1, 2]"),
+        lambda: PhantomSpec.from_json('"x"'),
+        lambda: PhantomSpec(16, 16, noise_sigma=3.0, seed=-1),
+        lambda: PhantomSpec(8.5, 10),
+        lambda: PhantomSpec.from_json('{"width": 8.5, "height": 10}'),
+        lambda: PhantomSpec.from_json('{"width": 10, "height": 10, "background": 3.5}'),
+        lambda: PhantomSpec.from_json('{"width": 10, "height": 10, "seed": 1.5}'),
+        lambda: PhantomSpec.from_json('{"width": true, "height": 10}'),
+        lambda: PhantomSpec.from_json('{"width": Infinity, "height": 10}'),
     ],
 )
 def test_invalid_specs_rejected(mutate):
     with pytest.raises(InvalidSpec):
         mutate()
+
+
+def test_whole_float_sizes_are_ints():
+    spec = PhantomSpec.from_json('{"width": 8.0, "height": 6, "seed": 2.0}')
+    assert spec == PhantomSpec(8, 6, seed=2)
+    assert isinstance(spec.width, int) and isinstance(spec.seed, int)
 
 
 def test_metrics_perfect_agreement():

@@ -1,7 +1,16 @@
+import gc
+
 import numpy as np
 import pytest
 
-from stratseg import GrayImage, SplitPolicy, build_quadtree, leaves, region_complexity
+from stratseg import (
+    GrayImage,
+    SplitPolicy,
+    build_quadtree,
+    leaves,
+    region_complexity,
+    region_histogram,
+)
 from stratseg.stratify import iter_nodes, node_to_dict, stats_from_histogram
 
 
@@ -122,6 +131,67 @@ def test_node_stats_match_direct_pixel_computation():
             assert node.stats.entropy_bits == pytest.approx(
                 -(p * np.log2(p)).sum(), rel=1e-12, abs=1e-12
             )
+
+
+def disk_image(w, h):
+    """A bright disk on a dark background: only nodes on its edge split, so
+    a var_threshold=0 tree reaches depth 8 and beyond with few nodes."""
+    ys, xs = np.mgrid[0:h, 0:w]
+    inside = (xs - 0.4 * w) ** 2 + (ys - 0.55 * h) ** 2 <= (0.3 * min(w, h)) ** 2
+    return GrayImage(np.where(inside, 200, 40).astype(np.uint8))
+
+
+@pytest.mark.parametrize(
+    "w,h,policy",
+    [
+        (1023, 517, SplitPolicy()),
+        (1023, 517, SplitPolicy(max_depth=8, min_side=40)),  # stops on min_side
+        (1, 300, SplitPolicy(min_side=2, var_threshold=0.0)),
+        (300, 1, SplitPolicy(min_side=2, var_threshold=0.0)),
+        (1, 1, SplitPolicy(max_depth=0, min_side=2)),
+        (3, 2, SplitPolicy(max_depth=12, min_side=2, var_threshold=0.0)),
+        (4096, 33, SplitPolicy(max_depth=12, min_side=2, var_threshold=0.0)),
+        (640, 480, SplitPolicy(max_depth=6, min_side=2, var_threshold=0.0)),
+    ],
+)
+def test_node_histograms_equal_direct_counts(w, h, policy):
+    img = GrayImage(np.random.default_rng(w * 7 + h).integers(0, 256, size=(h, w)))
+    tree = build_quadtree(img, policy)
+    for node in iter_nodes(tree):
+        assert node.hist.dtype == np.int64
+        assert np.array_equal(node.hist, region_histogram(img, node.rect))
+
+
+@pytest.mark.parametrize("max_depth", [8, 12])
+def test_node_histograms_below_the_tile_grid_equal_direct_counts(max_depth):
+    img = disk_image(600, 520)
+    tree = build_quadtree(img, SplitPolicy(max_depth=max_depth, min_side=2, var_threshold=0.0))
+    nodes = list(iter_nodes(tree))
+    assert max(node.depth for node in nodes) == 8  # 520 rows: 3-row nodes at depth 8
+    for node in nodes:
+        assert np.array_equal(node.hist, region_histogram(img, node.rect))
+
+
+def test_build_leaves_no_reference_cycles():
+    # a cycle would keep the image and the tile grid alive until the cyclic
+    # collector runs, so memory would grow over repeated builds
+    img = disk_image(600, 520)
+    gc.collect()
+    gc.disable()
+    try:
+        build_quadtree(img, SplitPolicy(max_depth=8, min_side=2, var_threshold=0.0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_node_histogram_stays_out_of_report_and_equality():
+    img = quadrant_image()
+    a = build_quadtree(img, SplitPolicy(min_side=8))
+    assert "hist" not in node_to_dict(a.root)
+    assert "hist" not in repr(a.root)
+    b = build_quadtree(img, SplitPolicy(min_side=8))
+    assert a.root == b.root
 
 
 def _structure(node):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from stratseg import (
     ObjectiveWeights,
     SimplexParams,
     SplitPolicy,
+    ThresholdReport,
     build_quadtree,
     nelder_mead_1d,
     objective,
@@ -16,6 +18,7 @@ from stratseg import (
     segment,
     threshold_tree,
 )
+from stratseg import imgio, stratify
 from stratseg.errors import EmptyHistogram, ReportTreeMismatch
 from stratseg.stratify import stats_from_histogram
 from stratseg.threshopt import _Tables
@@ -352,6 +355,38 @@ def test_segment_rejects_mismatched_report():
     report = threshold_tree(img, other)
     with pytest.raises(ReportTreeMismatch):
         segment(img, tree, report)
+
+
+def test_segment_matches_where_reference():
+    rng = np.random.default_rng(39)
+    px = rng.integers(0, 256, size=(83, 61), dtype=np.uint8)
+    img = GrayImage(px)
+    tree = build_quadtree(img, SplitPolicy(min_side=4, var_threshold=100.0))
+    report = threshold_tree(img, tree)
+    ts = rng.integers(0, 256, size=len(report)).tolist()
+    ts[:2] = [0, 255]
+    report = ThresholdReport(tuple(replace(e, threshold=t) for e, t in zip(report.entries, ts)))
+    expect = np.empty_like(px)
+    for e in report.entries:
+        r = e.rect
+        sub = px[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w]
+        expect[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] = np.where(sub <= e.threshold, 0, 255)
+    assert np.array_equal(segment(img, tree, report).pixels, expect)
+
+
+def test_threshold_tree_reads_node_histograms(monkeypatch):
+    rng = np.random.default_rng(40)
+    img = GrayImage(rng.integers(0, 256, size=(64, 48), dtype=np.uint8))
+    tree = build_quadtree(img, SplitPolicy(min_side=4, var_threshold=200.0))
+    expect = threshold_tree(img, tree)
+
+    def no_binning(*args, **kwargs):
+        raise AssertionError("threshold_tree binned pixels")
+
+    monkeypatch.setattr(imgio, "region_histogram", no_binning)
+    monkeypatch.setattr(stratify, "region_histogram", no_binning)
+    monkeypatch.setattr(np, "bincount", no_binning)  # binning under any name
+    assert threshold_tree(img, tree).entries == expect.entries
 
 
 def test_threshold_tree_deterministic():
