@@ -30,6 +30,8 @@ class GrayImage:
 
     `pixels` is a (height, width) uint8 array; it is copied on construction
     and marked read-only, so instances are safe to share across threads.
+    `load_pgm` and `segment` skip the copy (see `_adopt`), for arrays that no
+    one can write.
     """
 
     pixels: np.ndarray
@@ -62,6 +64,21 @@ class GrayImage:
         return self.pixels.shape == other.pixels.shape and bool(
             np.array_equal(self.pixels, other.pixels)
         )
+
+
+def _adopt(arr: np.ndarray) -> GrayImage:
+    """A GrayImage around `arr` itself, without the constructor's copy.
+
+    `arr` must be a non-empty, C-contiguous, 2-D uint8 array that no other
+    code can write: a view of a `bytes` object, or an array the caller made
+    and drops. It is marked read-only here.
+    """
+    assert arr.dtype == np.uint8 and arr.ndim == 2 and arr.size
+    assert arr.flags.c_contiguous
+    arr.setflags(write=False)
+    img = object.__new__(GrayImage)
+    object.__setattr__(img, "pixels", arr)
+    return img
 
 
 @dataclass(frozen=True)
@@ -134,12 +151,14 @@ def load_pgm(data: bytes) -> GrayImage:
     npix = width * height
     if magic == b"P5":
         raster_start = header[2][1] + 1  # single whitespace byte after maxval
-        raster = data[raster_start : raster_start + npix]
-        if len(raster) < npix:
-            raise TruncatedData(f"expected {npix} bytes, got {len(raster)}")
-        arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+        got = min(npix, max(0, len(data) - raster_start))
+        if got < npix:
+            raise TruncatedData(f"expected {npix} bytes, got {got}")
+        arr = np.frombuffer(data, np.uint8, npix, raster_start).reshape(height, width)
         if maxval < 255 and int(arr.max()) > maxval:
             raise MalformedHeader("sample exceeds maxval")
+        if type(data) is bytes:  # immutable, so the raster is used in place
+            return _adopt(arr)
     else:
         values = []
         for tok, _ in gen:
@@ -161,7 +180,7 @@ def load_pgm(data: bytes) -> GrayImage:
 def save_pgm(img: GrayImage) -> bytes:
     """Serialize to canonical binary P5: 'P5\\n<w> <h>\\n255\\n' + raster."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return header + img.pixels.data  # pixels are C-contiguous: one copy
 
 
 def bin_rows(pixels: np.ndarray, key=None, nbins: int = 256) -> np.ndarray:

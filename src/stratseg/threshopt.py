@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch
-from .imgio import GrayImage, Rect
+from .imgio import GrayImage, Rect, _adopt
 from .stratify import QuadTree, RegionNode, leaves, region_complexity
 
 __all__ = [
@@ -382,4 +382,4 @@ def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImag
         rows, cols = slice(r.y0, r.y0 + r.h), slice(r.x0, r.x0 + r.w)
         np.greater(img.pixels[rows, cols], entry.threshold, out=flags[rows, cols])
     mask *= 255
-    return GrayImage(mask)
+    return _adopt(mask)

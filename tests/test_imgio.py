@@ -156,3 +156,33 @@ def test_grayimage_rejects_fractional_intensity():
     with pytest.raises(InvalidArgument):
         GrayImage(np.array([[1.7, 3.0]]))
     assert GrayImage(np.array([[1.0, 3.0]])).pixels.tolist() == [[1, 3]]
+
+
+def test_load_p5_from_bytes_uses_the_raster_in_place():
+    data = canonical_p5(3, 2, [0, 1, 2, 253, 254, 255])
+    img = load_pgm(data)
+    assert img.pixels.tolist() == [[0, 1, 2], [253, 254, 255]]
+    assert np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+    assert img.pixels.flags.c_contiguous
+    with pytest.raises(ValueError):
+        img.pixels[0, 0] = 9
+    with pytest.raises(ValueError):
+        img.pixels.setflags(write=True)
+    assert save_pgm(img) == data
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+def test_load_p5_from_mutable_buffer_copies(wrap):
+    buf = bytearray(canonical_p5(2, 1, [10, 20]))
+    img = load_pgm(wrap(buf))
+    buf[-1] = 99
+    assert img.pixels.tolist() == [[10, 20]]
+    with pytest.raises(ValueError):
+        img.pixels[0, 0] = 9
+
+
+def test_truncated_p5_reports_available_bytes():
+    with pytest.raises(TruncatedData, match="expected 4 bytes, got 3"):
+        load_pgm(b"P5 2 2 255 " + bytes(3))
+    with pytest.raises(TruncatedData, match="expected 4 bytes, got 0"):
+        load_pgm(b"P5 2 2 255")

@@ -411,3 +411,12 @@ def test_objective_weights_validation():
         ObjectiveWeights(w_var=-0.1, w_ent=0.5)
     with pytest.raises(ValueError):
         ObjectiveWeights(w_var=0.0, w_ent=0.0)
+
+
+def test_segment_mask_is_read_only():
+    img = quadrant_image()
+    tree = build_quadtree(img, SplitPolicy(min_side=8))
+    mask = segment(img, tree, threshold_tree(img, tree))
+    assert mask.pixels.flags.c_contiguous
+    with pytest.raises(ValueError):
+        mask.pixels[0, 0] = 1
