@@ -6,14 +6,17 @@ replace feature-space means, and discriminant directions are coefficient
 vectors solving the generalized eigenproblem of the between-class against
 the (regularized) within-class kernel scatter. The between-class scatter
 has rank at most Z - 1, so the M x M pencil is reduced to a Z x Z symmetric
-eigenproblem; the resulting discriminants are polished to scatter-metric
-orthonormality in extended precision.
+eigenproblem. Training runs in float64 except for one step: the residual of
+the refinement of B^-1 C, B = U_w + eps I, which is taken in extended
+precision. The discriminants are made orthonormal in the metric of B by
+Cholesky QR.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,7 +52,7 @@ __all__ = [
     "regularization_epsilon",
 ]
 
-LD = np.longdouble
+LD = np.longdouble  # precision of the refinement residual in train_gda
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,13 @@ class KernelSpec:
             raise InvalidArgument("gamma must be positive and finite")
         if not math.isfinite(self.coef):
             raise InvalidArgument("coef must be finite")
-        if self.degree < 1:
+        deg = self.degree
+        whole = isinstance(deg, numbers.Integral) or (isinstance(deg, float) and deg.is_integer())
+        if isinstance(deg, bool) or not whole:
+            raise InvalidArgument(f"degree must be a whole number, got {deg!r}")
+        if deg < 1:
             raise InvalidArgument("degree must be >= 1")
+        object.__setattr__(self, "degree", int(deg))
 
 
 def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -218,22 +226,17 @@ class GdaModel:
         return self.sigmas.shape[1]
 
 
-def _b_orthonormalize(sig: np.ndarray, apply_b) -> tuple:
-    """Modified Gram-Schmidt of the columns of sig in the metric of B.
+def _b_orthonormalize(sig: np.ndarray, apply_b) -> np.ndarray:
+    """Columns of sig made orthonormal in the metric of B, each leading set of
+    columns keeping its span: two passes of Cholesky QR through the factor of
+    sig^T B sig (CholeskyQR2, Yamamoto et al., ETNA 44, 2015).
 
-    Returns (sig, B sig) with sig^T B sig = I; apply_b maps columns to B times
-    them, so B is touched once per column.
+    apply_b maps a block of columns to B times it.
     """
-    sig = sig.copy()
-    b_sig = np.empty_like(sig)
-    for j in range(sig.shape[1]):
-        for i in range(j):
-            sig[:, j] -= (b_sig[:, i] @ sig[:, j]) * sig[:, i]
-        b = apply_b(sig[:, j])
-        norm = np.sqrt(sig[:, j] @ b)
-        sig[:, j] /= norm
-        b_sig[:, j] = b / norm
-    return sig, b_sig
+    for _ in range(2):
+        low = np.linalg.cholesky(sig.T @ apply_b(sig))
+        sig = np.linalg.solve(low, sig.T).T
+    return sig
 
 
 def train_gda(
@@ -261,40 +264,40 @@ def train_gda(
     if float(np.abs(k).max()) < 1e-30:
         raise DegenerateKernel("kernel matrix is numerically zero")
     m = k.shape[0]
-    _, _, c_b, dev = _scatter_factors(k.astype(LD), data.labels)
-    c_b64, dev64 = c_b.astype(np.float64), dev.astype(np.float64)
-    u_w = dev64 @ dev64.T / m
-    eps = regularization_epsilon(u_w)
-    b64 = u_w + eps * np.eye(m)
+    _, _, c_ld, dev_ld = _scatter_factors(k.astype(LD), data.labels)
+    c_b, dev = c_ld.astype(np.float64), dev_ld.astype(np.float64)
+    b = dev @ dev.T / m  # U_w
+    eps = regularization_epsilon(b)
+    b.flat[:: m + 1] += eps  # B = U_w + eps I
 
-    def apply_b(s):  # (U_w + eps I) s in longdouble, O(M^2) per column
-        return dev @ (dev.T @ s) / m + LD(eps) * s
+    def apply_b(s):  # B s with B in factored form, O(M^2) per column
+        return dev @ (dev.T @ s) / m + eps * s
 
-    ev_b = np.linalg.eigvalsh(c_b64.T @ c_b64)  # nonzero spectrum of U_b = C C^T
+    ev_b = np.linalg.eigvalsh(c_b.T @ c_b)  # nonzero spectrum of U_b = C C^T
     rank_b = int(np.sum(ev_b > 1e-10 * ev_b[-1])) if ev_b[-1] > 0 else 0
     d_eff = min(d_req, z - 1, rank_b)
     achieved_all = d_eff == d_req
 
     if d_eff == 0:
-        sigmas64 = np.zeros((m, 0))
-        etas64 = np.zeros(0)
+        sigmas = np.zeros((m, 0))
+        etas = np.zeros(0)
     else:
         # U_b s = eta B s with U_b = C C^T reduces to the Z x Z problem
-        # (C^T B^-1 C) v = eta v, s = B^-1 C v
-        x = np.linalg.solve(b64, c_b64)
-        x += np.linalg.solve(b64, (c_b - apply_b(x.astype(LD))).astype(np.float64))
-        g = c_b64.T @ x
+        # (C^T B^-1 C) v = eta v, s = B^-1 C v. One refinement step makes
+        # B^-1 C accurate; only its residual needs extended precision.
+        x = np.linalg.solve(b, c_b)
+        x_ld = x.astype(LD)
+        r = c_ld - (dev_ld @ (dev_ld.T @ x_ld) / m + LD(eps) * x_ld)
+        del c_ld, dev_ld, x_ld  # free the extended-precision copies
+        x += np.linalg.solve(b, r.astype(np.float64))
+        g = c_b.T @ x
         _, v = np.linalg.eigh((g + g.T) / 2)
-        sig = (x @ v[:, ::-1][:, :d_eff]).astype(LD)
-        sig, _ = _b_orthonormalize(sig, apply_b)
-        sig, b_sig = _b_orthonormalize(sig, apply_b)
-        rayleigh = ((c_b.T @ sig) ** 2).sum(axis=0) / (sig * b_sig).sum(axis=0)
-        etas64 = rayleigh.astype(np.float64)
-        sigmas64 = sig.astype(np.float64)
-        peak = np.abs(sigmas64).argmax(axis=0)
-        sigmas64 *= np.sign(sigmas64[peak, np.arange(d_eff)])
+        sigmas = _b_orthonormalize(x @ v[:, ::-1][:, :d_eff], apply_b)
+        etas = ((c_b.T @ sigmas) ** 2).sum(axis=0)  # sigma^T B sigma = I
+        peak = np.abs(sigmas).argmax(axis=0)
+        sigmas *= np.sign(sigmas[peak, np.arange(d_eff)])
 
-    proj = k @ sigmas64  # row j = projection of training sample j
+    proj = k @ sigmas  # row j = projection of training sample j
     class_means = np.stack(
         [proj[data.labels == c].mean(axis=0) for c in classes]
     ) if d_eff else np.zeros((z, 0))
@@ -302,8 +305,8 @@ def train_gda(
         samples=data.samples,
         labels=data.labels,
         spec=spec,
-        sigmas=sigmas64,
-        etas=etas64,
+        sigmas=sigmas,
+        etas=etas,
         eps=eps,
         classes=classes,
         class_means=class_means,
@@ -415,15 +418,21 @@ def load_model(text: str) -> GdaModel:
         means = np.array(doc["class_means"], dtype=np.float64).reshape(
             len(doc["classes"]), -1
         )
+        etas = np.array(doc["etas"], dtype=np.float64)
+        eps = float(doc["eps"])
         if samples.ndim != 2 or len(samples) != m or means.shape[1] != sig.shape[1]:
             raise InvalidModel("samples, labels, sigmas and class_means disagree in shape")
+        for name, a in (("samples", samples), ("sigmas", sig), ("class_means", means),
+                        ("etas", etas), ("eps", eps)):
+            if not np.all(np.isfinite(a)):
+                raise InvalidModel(f"{name} must be finite (no NaN or inf)")
         return GdaModel(
             samples=samples,
             labels=np.array(doc["labels"], dtype=np.int64),
             spec=spec,
             sigmas=sig,
-            etas=np.array(doc["etas"], dtype=np.float64),
-            eps=float(doc["eps"]),
+            etas=etas,
+            eps=eps,
             classes=np.array(doc["classes"], dtype=np.int64),
             class_means=means,
             achieved_all=bool(doc["achieved_all"]),

@@ -50,6 +50,7 @@ class ShapeSpec:
             raise InvalidSpec("shape center must be finite")
         if not (0 < self.rx < math.inf and 0 < self.ry < math.inf):
             raise InvalidSpec("shape extents must be positive and finite")
+        object.__setattr__(self, "intensity", _whole("intensity", self.intensity))
         if not (0 <= self.intensity <= 255):
             raise InvalidSpec("shape intensity must lie in [0, 255]")
 

@@ -339,14 +339,21 @@ def test_cli_out_of_range_flag_reports_category(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("command", ["gda-eval", "gda-project"])
-@pytest.mark.parametrize("text", ["{not json", "{}", "flat samples"])
+@pytest.mark.parametrize(
+    "text", ["{not json", "{}", "flat samples", "fractional degree", "nan sigma"]
+)
 def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
     csv_path, _ = blob_csv(tmp_path)
     model_path = tmp_path / "model.json"
-    if text == "flat samples":  # well-formed JSON, samples not (M, n)
+    if text in ("flat samples", "fractional degree", "nan sigma"):  # well-formed JSON
         run(["gda-train", csv_path, "--model-out", model_path])
         doc = json.loads(model_path.read_text())
-        doc["samples"] = [row[0] for row in doc["samples"]]
+        if text == "flat samples":  # samples not (M, n)
+            doc["samples"] = [row[0] for row in doc["samples"]]
+        elif text == "fractional degree":
+            doc["kernel"].update(kind="polynomial", degree=2.5)
+        else:
+            doc["sigmas"][0][0] = float("nan")
         text = json.dumps(doc)
     model_path.write_text(text)
     args = [command, model_path, csv_path]

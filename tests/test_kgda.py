@@ -24,6 +24,7 @@ from stratseg.errors import (
     CsvParse,
     DegenerateKernel,
     DimensionMismatch,
+    InvalidArgument,
     InvalidDataset,
     ZeroVector,
 )
@@ -113,6 +114,11 @@ def test_kernel_spec_validation():
         KernelSpec("rbf", gamma=-1.0)
     with pytest.raises(ValueError):
         KernelSpec("polynomial", degree=0)
+    for degree in (2.5, True, "2", float("inf")):
+        with pytest.raises(InvalidArgument):
+            KernelSpec("polynomial", degree=degree)
+    spec = KernelSpec("polynomial", degree=3.0)
+    assert spec.degree == 3 and isinstance(spec.degree, int)
 
 
 # --- kernel means and scatter -------------------------------------------------
@@ -326,6 +332,48 @@ def test_train_large_m_residual_and_orthonormality(m, n, kind):
     data = blobs(rng, centers, n_per=m // z, sigma=1.0)
     model = train_gda(data, KernelSpec(kind))
     assert model.n_discriminants == z - 1
+    resid, orth = factored_errors(model)
+    assert resid <= 1e-8
+    assert orth <= 1e-8
+
+
+def stress_case(name):
+    """(dataset, kernel) for one hard case of the trainer's 1e-8 guarantees."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "duplicated samples":  # every sample four times: U_w rank-deficient
+        data = blobs(rng, rng.normal(0, 2.0, size=(3, 4)), n_per=10)
+        data = LabeledDataset(np.repeat(data.samples, 4, axis=0), np.repeat(data.labels, 4))
+        return data, KernelSpec("rbf")
+    if name == "linear n=2 M=500":
+        return blobs(rng, rng.normal(0, 2.0, size=(5, 2)), n_per=100), KernelSpec("linear")
+    if name.startswith("rbf gamma="):
+        gamma = float(name.split("=")[1])
+        return blobs(rng, rng.normal(0, 2.0, size=(4, 3)), n_per=40), KernelSpec("rbf", gamma=gamma)
+    if name == "imbalance 250:5":
+        x = np.vstack([rng.normal(0, 1.0, size=(250, 3)), rng.normal(1.5, 1.0, size=(5, 3))])
+        return LabeledDataset(x, np.repeat([0, 1], [250, 5])), KernelSpec("rbf")
+    if name == "Z=10":
+        return blobs(rng, rng.normal(0, 2.0, size=(10, 4)), n_per=20), KernelSpec("rbf")
+    assert name == "polynomial degree 3 n=2"
+    return blobs(rng, rng.normal(0, 2.0, size=(4, 2)), n_per=50), KernelSpec("polynomial", degree=3)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "duplicated samples",
+        "linear n=2 M=500",
+        "rbf gamma=1e-4",
+        "rbf gamma=1e3",
+        "imbalance 250:5",
+        "Z=10",
+        "polynomial degree 3 n=2",
+    ],
+)
+def test_train_stress_residual_and_orthonormality(name):
+    data, spec = stress_case(name)
+    model = train_gda(data, spec)
+    assert model.n_discriminants >= 1
     resid, orth = factored_errors(model)
     assert resid <= 1e-8
     assert orth <= 1e-8

@@ -108,6 +108,8 @@ def test_spec_json_roundtrip():
         lambda: PhantomSpec.from_json('{"width": 10, "height": 10, "seed": 1.5}'),
         lambda: PhantomSpec.from_json('{"width": true, "height": 10}'),
         lambda: PhantomSpec.from_json('{"width": Infinity, "height": 10}'),
+        lambda: ShapeSpec("ellipse", 0, 0, 1, 1, 125.5),
+        lambda: ShapeSpec("ellipse", 0, 0, 1, 1, True),
     ],
 )
 def test_invalid_specs_rejected(mutate):
@@ -119,6 +121,8 @@ def test_whole_float_sizes_are_ints():
     spec = PhantomSpec.from_json('{"width": 8.0, "height": 6, "seed": 2.0}')
     assert spec == PhantomSpec(8, 6, seed=2)
     assert isinstance(spec.width, int) and isinstance(spec.seed, int)
+    shape = ShapeSpec("ellipse", 0, 0, 1, 1, 125.0)
+    assert shape.intensity == 125 and isinstance(shape.intensity, int)
 
 
 def test_metrics_perfect_agreement():
