@@ -10,6 +10,11 @@ eigenproblem. Training runs in float64 except for one step: the residual of
 the refinement of B^-1 C, B = U_w + eps I, which is taken in extended
 precision. The discriminants are made orthonormal in the metric of B by
 Cholesky QR.
+
+RBF distances use the Gram expansion ||x||^2 + ||y||^2 - 2 x.y (one BLAS
+product) on features centred at the training mean. `project` fills its
+output in fixed row chunks, so a batch of any size never materializes its
+full kernel block; a projection that is not finite raises DegenerateKernel.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ __all__ = [
 ]
 
 LD = np.longdouble  # precision of the refinement residual in train_gda
+_CHUNK_ENTRIES = 2**17  # kernel entries per row chunk in project (1 MiB of float64)
 
 
 @dataclass(frozen=True)
@@ -110,21 +116,43 @@ class KernelSpec:
 
 
 def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """(N, M) kernel block between the rows of x and the training rows y.
+
+    RBF distances use the Gram expansion ||x||^2 + ||y||^2 - 2 x.y, one BLAS
+    product, with both sides centred on the mean of y first (the kernel is
+    translation-invariant; centring keeps the cancellation small when the
+    features sit far from the origin) and clamped at 0. Overflow is left to
+    IEEE arithmetic: an infinite RBF distance gives k = 0, and any other
+    non-finite entry is reported by the caller.
+    """
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
-    if spec.kind == "linear":
-        return x @ y.T
-    if spec.kind == "polynomial":
-        return (x @ y.T + spec.coef) ** spec.degree
-    gamma = spec.gamma if spec.gamma is not None else 1.0 / x.shape[1]
-    sq = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
-    return np.exp(-gamma * sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "linear":
+            return x @ y.T
+        if spec.kind == "polynomial":
+            return (x @ y.T + spec.coef) ** spec.degree
+        gamma = spec.gamma if spec.gamma is not None else 1.0 / x.shape[1]
+        centre = y.mean(axis=0)
+        yc = y - centre
+        xc = yc if x is y else x - centre
+        k = xc @ yc.T
+        k *= -2.0
+        k += np.einsum("ij,ij->i", xc, xc)[:, None]
+        k += np.einsum("ij,ij->i", yc, yc)
+        np.maximum(k, 0.0, out=k)
+        k *= -gamma
+        return np.exp(k, out=k)
 
 
 def compute_kernel_matrix(data: LabeledDataset, spec: KernelSpec) -> np.ndarray:
-    """M x M training kernel matrix, exactly symmetric (upper triangle mirrored)."""
+    """M x M training kernel matrix, exactly symmetric (upper triangle
+    mirrored); an RBF diagonal is exactly 1, i.e. exp(-gamma * 0)."""
     k = _cross_kernel(data.samples, data.samples, spec)
-    return np.triu(k) + np.triu(k, 1).T
+    k = np.triu(k) + np.triu(k, 1).T
+    if spec.kind == "rbf":
+        np.fill_diagonal(k, 1.0)
+    return k
 
 
 def kernel_class_means(k: np.ndarray, labels) -> tuple:
@@ -315,18 +343,29 @@ def train_gda(
 
 
 def project(model: GdaModel, u: np.ndarray) -> np.ndarray:
-    """Discriminant-space coordinates of one sample (or a batch of rows)."""
+    """Discriminant-space coordinates of one sample (or a batch of rows).
+
+    The batch is projected in row chunks of about _CHUNK_ENTRIES kernel
+    entries, so memory stays bounded whatever the batch size.
+    """
     u = np.asarray(u, dtype=np.float64)
+    if u.ndim not in (1, 2):
+        raise DimensionMismatch(f"samples must be a vector or (N, n) rows, got {u.ndim}-D")
     if not np.all(np.isfinite(u)):
         raise InvalidDataset("samples must be finite (no NaN or inf)")
     single = u.ndim == 1
     batch = u[None, :] if single else u
-    if batch.shape[1] != model.samples.shape[1]:
-        raise DimensionMismatch(
-            f"sample dim {batch.shape[1]} != model dim {model.samples.shape[1]}"
-        )
-    mu = _cross_kernel(batch, model.samples, model.spec)  # rows are mu_u
-    out = mu @ model.sigmas
+    m, n = model.samples.shape
+    if batch.shape[1] != n:
+        raise DimensionMismatch(f"sample dim {batch.shape[1]} != model dim {n}")
+    out = np.empty((len(batch), model.n_discriminants))
+    step = max(1, _CHUNK_ENTRIES // m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(batch), step):
+            mu = _cross_kernel(batch[lo : lo + step], model.samples, model.spec)  # rows are mu_u
+            out[lo : lo + step] = mu @ model.sigmas
+    if not np.all(np.isfinite(out)):
+        raise DegenerateKernel("projection has non-finite coordinates (kernel overflow)")
     return out[0] if single else out
 
 
@@ -343,18 +382,20 @@ def classify_nearest_mean(model: GdaModel, u: np.ndarray):
 
 # --- file formats -----------------------------------------------------------
 
+def _csv_lines(text: str, header: bool) -> list:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return lines[1:] if header else lines
+
+
 def csv_rows(text: str, header: bool = False) -> list:
     """Non-blank lines split on commas with cells stripped; `header` drops
     the first of them."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if header:
-        lines = lines[1:]
-    return [[p.strip() for p in ln.split(",")] for ln in lines]
+    return [[p.strip() for p in ln.split(",")] for ln in _csv_lines(text, header)]
 
 
-def load_dataset_csv(text: str, header: bool = False) -> LabeledDataset:
-    """Parse 'f1,...,fn,label' rows; the last column is the integer label."""
-    rows = csv_rows(text, header)
+def _parse_rows(rows: list) -> tuple:
+    """Row loop over split cells: (samples, labels) arrays, or CsvParse
+    naming the first bad row."""
     if not rows:
         raise CsvParse("no data rows")
     samples, labels = [], []
@@ -368,7 +409,33 @@ def load_dataset_csv(text: str, header: bool = False) -> LabeledDataset:
             raise CsvParse(f"row {i}: {exc}") from None
         if len(samples[-1]) != len(samples[0]):
             raise CsvParse(f"row {i}: inconsistent column count")
-    return LabeledDataset(np.array(samples), np.array(labels))
+    return np.array(samples), np.array(labels)
+
+
+def _parse_joined(lines: list) -> Optional[tuple]:
+    """One pass over all cells at once: (samples, labels), or None wherever
+    the row loop might raise, so that it can name the row."""
+    if not lines:
+        return None
+    commas = lines[0].count(",")
+    if commas == 0 or any(ln.count(",") != commas for ln in lines):
+        return None
+    cells = ",".join(lines).split(",")
+    try:
+        labels = list(map(int, cells[commas :: commas + 1]))
+        del cells[commas :: commas + 1]
+        samples = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return None
+    return samples.reshape(len(lines), commas), np.array(labels)
+
+
+def load_dataset_csv(text: str, header: bool = False) -> LabeledDataset:
+    """Parse 'f1,...,fn,label' rows; the last column is the integer label."""
+    parsed = _parse_joined(_csv_lines(text, header))
+    if parsed is None:
+        parsed = _parse_rows(csv_rows(text, header))
+    return LabeledDataset(*parsed)
 
 
 def save_dataset_csv(data: LabeledDataset, header: bool = False) -> str:

@@ -362,3 +362,48 @@ def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
     assert run(args) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: InvalidModel:")
+
+
+HUGE_ROWS = "1e160,1e160,0\n1e160,-1e160,1\n-1e160,1e160,2\n"
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
+@pytest.mark.parametrize("command", ["gda-eval", "gda-project"])
+def test_cli_overflowing_projection_reports_category(tmp_path, capsys, command):
+    csv_path, _ = blob_csv(tmp_path)
+    model_path = tmp_path / "model.json"
+    run(["gda-train", csv_path, "--model-out", model_path, "--kernel", "polynomial"])
+    capsys.readouterr()
+    huge = tmp_path / "huge.csv"
+    huge.write_text(HUGE_ROWS)
+    out = tmp_path / "o.out"
+    assert run([command, model_path, huge, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DegenerateKernel:")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_training_kernel_one_line(tmp_path, capsys):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("1e200,0.0,0\n2e200,1.0,0\n0.0,1e200,1\n1.0,2e200,1\n")
+    model_path = tmp_path / "m.json"
+    assert run(["gda-train", csv_path, "--model-out", model_path, "--kernel", "linear"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DegenerateKernel:")
+    assert not model_path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_rbf_far_samples_evaluate_quietly(tmp_path, capsys):
+    """An RBF distance that overflows is infinite, so k = 0: a valid answer."""
+    csv_path, _ = blob_csv(tmp_path)
+    model_path = tmp_path / "model.json"
+    run(["gda-train", csv_path, "--model-out", model_path, "--kernel", "rbf"])
+    capsys.readouterr()
+    huge = tmp_path / "huge.csv"
+    huge.write_text(HUGE_ROWS)
+    eval_out = tmp_path / "eval.json"
+    assert run(["gda-eval", model_path, huge, "--out", eval_out]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(eval_out.read_text())["n_samples"] == 3

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from stratseg import (
     KernelSpec,
@@ -19,7 +21,16 @@ from stratseg import (
     scatter_matrices,
     train_gda,
 )
-from stratseg.kgda import _scatter, regularization_epsilon
+from stratseg.kgda import (
+    _CHUNK_ENTRIES,
+    _cross_kernel,
+    _csv_lines,
+    _parse_joined,
+    _parse_rows,
+    _scatter,
+    csv_rows,
+    regularization_epsilon,
+)
 from stratseg.errors import (
     CsvParse,
     DegenerateKernel,
@@ -29,6 +40,7 @@ from stratseg.errors import (
     ZeroVector,
 )
 
+from kernel_reference import reference_kernel
 from pencil_reference import full_pencil_discriminants
 
 LD = np.longdouble
@@ -105,6 +117,24 @@ def test_rbf_kernel_positive_semidefinite():
     data = LabeledDataset(rng.normal(size=(12, 3)), [0] * 6 + [1] * 6)
     k = compute_kernel_matrix(data, KernelSpec("rbf", gamma=0.5))
     assert np.linalg.eigvalsh(k).min() >= -1e-10
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_rbf_gram_expansion_matches_broadcast_reference(n, offset):
+    """The Gram expansion cancels ||x||^2 against 2 x.y; centring on the
+    training mean keeps that cancellation small far from the origin."""
+    rng = np.random.default_rng(67 + n)
+    x = rng.normal(size=(40, n)) + offset
+    y = rng.normal(size=(30, n)) + offset
+    data = LabeledDataset(y, np.arange(30) % 2)
+    for gamma in (None, 0.5):
+        spec = KernelSpec("rbf", gamma=gamma)
+        assert np.abs(_cross_kernel(x, y, spec) - reference_kernel(x, y, spec)).max() <= 1e-12
+        k = compute_kernel_matrix(data, spec)
+        assert np.abs(k - reference_kernel(y, y, spec)).max() <= 1e-12
+        assert np.array_equal(np.diag(k), np.ones(30))
+        assert np.array_equal(k, k.T)
 
 
 def test_kernel_spec_validation():
@@ -438,8 +468,53 @@ def test_project_dimension_mismatch():
     rng = np.random.default_rng(60)
     data = blobs(rng, [(0, 0), (3, 3)], n_per=6)
     model = train_gda(data, KernelSpec("linear"))
-    with pytest.raises(DimensionMismatch):
-        project(model, np.zeros(5))
+    for shape in [(5,), (), (2, 3, 2)]:  # wrong width, a 0-d and a 3-D input
+        with pytest.raises(DimensionMismatch):
+            project(model, np.zeros(shape))
+
+
+def test_project_overflow_raises_degenerate_kernel():
+    rng = np.random.default_rng(60)
+    data = blobs(rng, [(0, 0), (3, 3)], n_per=6)
+    model = train_gda(data, KernelSpec("polynomial"))
+    with pytest.raises(DegenerateKernel):
+        project(model, np.array([[1e160, 1e160], [0.0, 1.0]]))
+    far = train_gda(data, KernelSpec("rbf"))  # infinite distance: k = 0
+    assert np.array_equal(project(far, np.array([1e160, -1e160])), np.zeros(1))
+
+
+def test_project_memory_bounded():
+    """Projection works in row chunks: the (N, M) kernel block never exists."""
+    rng = np.random.default_rng(68)
+    centres = rng.normal(0, 3, size=(4, 8))
+    labels = np.arange(300) % 4
+    model = train_gda(
+        LabeledDataset(centres[labels] + rng.normal(size=(300, 8)), labels), KernelSpec("rbf")
+    )
+    batch = rng.normal(0, 3, size=(20000, 8))
+    tracemalloc.start()
+    try:
+        out = project(model, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (20000, 3)
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial"])
+def test_project_chunk_boundaries_match_reference(kind):
+    rng = np.random.default_rng(69)
+    data = blobs(rng, [(0, 0, 0), (3, 3, 0), (0, 3, 3)], n_per=8)
+    model = train_gda(data, KernelSpec(kind))
+    step = _CHUNK_ENTRIES // len(data.samples)
+    big = rng.normal(1.5, 2.0, size=(3 * step + 5, 3))
+    for n in (0, 1, step - 1, step, step + 1, 3 * step + 5):
+        u = big[:n]
+        got = project(model, u)
+        want = reference_kernel(u, model.samples, model.spec) @ model.sigmas
+        assert got.shape == want.shape == (n, model.n_discriminants)
+        assert np.abs(got - want).max(initial=0) <= 1e-12 * np.abs(want).max(initial=0)
 
 
 def test_class_means_are_projected_training_means():
@@ -510,6 +585,89 @@ def test_dataset_csv_roundtrip():
 def test_dataset_csv_errors(text):
     with pytest.raises(CsvParse):
         load_dataset_csv(text)
+
+
+def _csv_outcome(parse):
+    try:
+        data = parse()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return data.samples.shape, data.samples.tolist(), data.labels.tolist()
+
+
+def assert_csv_paths_agree(text, header=False):
+    """load_dataset_csv gives what the row loop alone gives: the same arrays,
+    or the same exception with the same message."""
+    fast = _csv_outcome(lambda: load_dataset_csv(text, header))
+    loop = _csv_outcome(lambda: LabeledDataset(*_parse_rows(csv_rows(text, header))))
+    assert fast == loop
+    return fast
+
+
+_PAD = st.sampled_from(["", " ", "\t"])
+_FEATURE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(str.__add__, _PAD, st.sampled_from(["1_0", "-0.5", "1e3", "-inf", "7"])),
+)
+_LABEL = st.builds(
+    lambda a, v, b: a + str(v) + b, _PAD, st.integers(-3, 3), _PAD
+)
+_JUNK = st.one_of(st.sampled_from(["", "1.0", "x", "nan", "1e999"]),
+                  st.text(alphabet=" \t0123456789.-+e_ainfx", max_size=6))
+
+
+@st.composite
+def csv_texts(draw):
+    """Well-formed 'f1,...,fn,label' rows, sometimes with one bad cell or
+    one ragged row, joined by one of several line endings."""
+    n = draw(st.integers(1, 3))
+    rows = [[draw(_FEATURE) for _ in range(n)] + [draw(_LABEL)]
+            for _ in range(draw(st.integers(0, 6)))]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, n))] = draw(_JUNK)
+    if rows and draw(st.booleans()):  # one row a cell longer or shorter
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    sep = draw(st.sampled_from(["\n", "\r\n", "\n \n"]))
+    return sep.join(",".join(r) for r in rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=csv_texts(), header=st.booleans())
+def test_dataset_csv_one_pass_matches_row_loop(text, header):
+    assert_csv_paths_agree(text, header)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=st.text(alphabet="0123456789.,-e_ \t\r\nx", max_size=60), header=st.booleans())
+def test_dataset_csv_one_pass_matches_row_loop_on_any_text(text, header):
+    assert_csv_paths_agree(text, header)
+
+
+@pytest.mark.parametrize(
+    "text,header,fast",
+    [
+        ("\n1.0,2.0,0\n\n  \n3.0,4.0,1\n\n", False, True),  # blank lines
+        ("f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n", True, True),
+        ("1.0,2.0,0\r\n3.0,4.0,1\r\n", False, True),  # CRLF
+        (" 1.0 ,\t2.0, 0 \n3.0 , 4.0 ,1\n", False, True),  # spaces around cells
+        ("1_0,2.0,1_0\n3.0,4.0,1\n", False, True),  # Python numeric underscores
+        ("1.0,2.0,1.0\n3.0,4.0,1\n", False, False),  # float label: CsvParse
+        ("1.0,2.0,0\n3.0,1\n", False, False),  # ragged rows
+        ("1.0\n2.0\n", False, False),  # single column
+    ],
+)
+def test_dataset_csv_one_pass_fixed_cases(text, header, fast):
+    outcome = assert_csv_paths_agree(text, header)
+    assert (_parse_joined(_csv_lines(text, header)) is not None) == fast
+    if fast:
+        assert outcome[0] == (2, 2)
+    else:
+        assert outcome[0] is CsvParse
 
 
 def test_model_roundtrip_exact_fields_and_projections():
