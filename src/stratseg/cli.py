@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import imgio, kgda, phantom, stratify, threshopt
-from .errors import CsvParse, DimensionMismatch, IoError, StratsegError
+from .errors import IoError, StratsegError
 
 
 def _read_bytes(path: str) -> bytes:
@@ -126,51 +126,10 @@ def cmd_gda_train(args) -> int:
     return 0
 
 
-def _load_feature_rows(text: str, header: bool, n_features: int):
-    """Rows of floats; a trailing integer label column is passed through.
-
-    Either every row carries a label or none does."""
-    feats, labels = [], []
-    for i, parts in enumerate(kgda.csv_rows(text, header)):
-        if len(parts) == n_features:
-            lab = None
-        elif len(parts) == n_features + 1:
-            lab = parts[-1]
-            parts = parts[:-1]
-        else:
-            raise DimensionMismatch(
-                f"row {i}: {len(parts)} columns, model expects {n_features} features"
-            )
-        if labels and (lab is None) != (labels[0] is None):
-            raise DimensionMismatch(
-                f"row {i}: {'no' if lab is None else 'a'} label column, unlike row 0"
-            )
-        try:
-            feats.append([float(p) for p in parts])
-            labels.append(None if lab is None else int(lab))
-        except ValueError as exc:
-            raise CsvParse(f"row {i}: {exc}") from None
-    return np.array(feats, dtype=np.float64).reshape(len(feats), n_features), labels
-
-
 def cmd_gda_project(args) -> int:
     model = kgda.load_model(_read_text(args.model))
-    feats, labels = _load_feature_rows(
-        _read_text(args.csv), args.header, model.samples.shape[1]
-    )
-    have_labels = bool(labels) and labels[0] is not None
-    cols = [f"g{k}" for k in range(model.n_discriminants)]
-    if have_labels:
-        cols.append("label")
-    lines = [",".join(cols)]
-    if len(feats):
-        proj = kgda.project(model, feats)
-        for row, lab in zip(proj, labels):
-            cells = [repr(float(v)) for v in row]
-            if have_labels:
-                cells.append(str(lab))
-            lines.append(",".join(cells))
-    _write(args.out, "\n".join(lines) + "\n")
+    feats, labels = kgda.read_csv(_read_text(args.csv), args.header, model.samples.shape[1])
+    _write(args.out, kgda.write_csv(kgda.project(model, feats), labels, "g"))
     print(f"projected {len(feats)} samples to {model.n_discriminants} features")
     return 0
 

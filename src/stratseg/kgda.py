@@ -70,7 +70,10 @@ class LabeledDataset:
 
     def __post_init__(self):
         x = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
-        y = np.asarray(self.labels, dtype=np.int64)
+        try:
+            y = np.asarray(self.labels, dtype=np.int64)
+        except OverflowError:
+            raise InvalidDataset("labels must fit in int64") from None
         if x.ndim != 2 or x.shape[0] == 0:
             raise InvalidDataset("samples must be a non-empty (M, n) array")
         if not np.all(np.isfinite(x)):
@@ -387,66 +390,102 @@ def _csv_lines(text: str, header: bool) -> list:
     return lines[1:] if header else lines
 
 
-def csv_rows(text: str, header: bool = False) -> list:
-    """Non-blank lines split on commas with cells stripped; `header` drops
-    the first of them."""
-    return [[p.strip() for p in ln.split(",")] for ln in _csv_lines(text, header)]
+def _labels(cells: list) -> np.ndarray:
+    """int64 labels; ValueError for a cell that is not an integer or not in int64."""
+    labels = list(map(int, cells))
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"label {max(labels, key=abs)} does not fit in int64") from None
 
 
-def _parse_rows(rows: list) -> tuple:
-    """Row loop over split cells: (samples, labels) arrays, or CsvParse
+def _parse_rows(lines: list, n_features: Optional[int] = None) -> tuple:
+    """Row loop over stripped cells: what read_csv returns, or the error
     naming the first bad row."""
-    if not rows:
+    if not lines and n_features is None:
         raise CsvParse("no data rows")
     samples, labels = [], []
-    for i, parts in enumerate(rows):
-        if len(parts) < 2:
+    for i, line in enumerate(lines):
+        cells = [c.strip() for c in line.split(",")]
+        labelled = n_features is None or len(cells) == n_features + 1
+        if n_features is None and len(cells) < 2:
             raise CsvParse(f"row {i}: need at least one feature and a label")
+        if n_features is not None and len(cells) not in (n_features, n_features + 1):
+            raise DimensionMismatch(
+                f"row {i}: {len(cells)} columns, model expects {n_features} features"
+            )
+        if i and labelled != bool(labels):
+            raise DimensionMismatch(
+                f"row {i}: {'a' if labelled else 'no'} label column, unlike row 0"
+            )
         try:
-            samples.append([float(p) for p in parts[:-1]])
-            labels.append(int(parts[-1]))
+            samples.append(list(map(float, cells[:-1] if labelled else cells)))
+            if labelled:
+                labels.append(_labels(cells[-1:])[0])
         except ValueError as exc:
             raise CsvParse(f"row {i}: {exc}") from None
         if len(samples[-1]) != len(samples[0]):
             raise CsvParse(f"row {i}: inconsistent column count")
-    return np.array(samples), np.array(labels)
+    n = len(samples[0]) if n_features is None else n_features
+    x = np.array(samples, dtype=np.float64).reshape(len(samples), n)
+    return x, np.array(labels, dtype=np.int64) if labels else None
 
 
-def _parse_joined(lines: list) -> Optional[tuple]:
+def _parse_joined(lines: list, n_features: Optional[int] = None) -> Optional[tuple]:
     """One pass over all cells at once: (samples, labels), or None wherever
     the row loop might raise, so that it can name the row."""
     if not lines:
         return None
     commas = lines[0].count(",")
-    if commas == 0 or any(ln.count(",") != commas for ln in lines):
+    if any(ln.count(",") != commas for ln in lines):
+        return None
+    n = commas if n_features is None else n_features
+    labelled = commas == n
+    if n == 0 or commas not in (n - 1, n):
         return None
     cells = ",".join(lines).split(",")
+    labels = None
     try:
-        labels = list(map(int, cells[commas :: commas + 1]))
-        del cells[commas :: commas + 1]
+        if labelled:
+            labels = _labels(cells[n :: n + 1])
+            del cells[n :: n + 1]
         samples = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
         return None
-    return samples.reshape(len(lines), commas), np.array(labels)
+    return samples.reshape(len(lines), n), labels
+
+
+def read_csv(text: str, header: bool = False, n_features: Optional[int] = None) -> tuple:
+    """(samples, labels) of the non-blank lines; `header` drops the first.
+    Rows are 'f1,...,fn,label' (CsvParse otherwise); with n_features they hold
+    n_features cells and a trailing label on every row or on none
+    (DimensionMismatch otherwise; labels is then None). A label beyond int64
+    is a CsvParse error."""
+    lines = _csv_lines(text, header)
+    parsed = _parse_joined(lines, n_features)
+    return _parse_rows(lines, n_features) if parsed is None else parsed
+
+
+def write_csv(samples: np.ndarray, labels=None, prefix: Optional[str] = None) -> str:
+    """Rows of shortest round-trip floats, each then its label if labels are
+    given; `prefix` adds the header line prefix0,prefix1,...[,label]."""
+    cols = [f"{prefix}{i}" for i in range(samples.shape[1])]
+    rows = [list(map(repr, row)) for row in samples.tolist()]
+    if labels is not None:
+        cols.append("label")
+        rows = [cells + [str(lab)] for cells, lab in zip(rows, labels.tolist())]
+    lines = ([] if prefix is None else [cols]) + rows
+    return "\n".join(map(",".join, lines)) + "\n"
 
 
 def load_dataset_csv(text: str, header: bool = False) -> LabeledDataset:
     """Parse 'f1,...,fn,label' rows; the last column is the integer label."""
-    parsed = _parse_joined(_csv_lines(text, header))
-    if parsed is None:
-        parsed = _parse_rows(csv_rows(text, header))
-    return LabeledDataset(*parsed)
+    return LabeledDataset(*read_csv(text, header))
 
 
 def save_dataset_csv(data: LabeledDataset, header: bool = False) -> str:
     """Inverse of load_dataset_csv; floats use shortest round-trip repr."""
-    out = []
-    if header:
-        cols = [f"f{i}" for i in range(data.n_features)] + ["label"]
-        out.append(",".join(cols))
-    for row, lab in zip(data.samples, data.labels):
-        out.append(",".join(repr(float(v)) for v in row) + f",{int(lab)}")
-    return "\n".join(out) + "\n"
+    return write_csv(data.samples, data.labels, "f" if header else None)
 
 
 def save_model(model: GdaModel) -> str:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratseg import (
     GrayImage,
@@ -296,6 +301,63 @@ def test_cli_non_finite_feature_reports_category(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: InvalidDataset:")
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["gda-train", "gda-eval", "gda-project"])
+def test_cli_label_beyond_int64_reports_csv_parse(tmp_path, capsys, command):
+    csv_path, _ = blob_csv(tmp_path)
+    model_path = tmp_path / "model.json"
+    run(["gda-train", csv_path, "--model-out", model_path])
+    capsys.readouterr()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1.0,2.0,1\n1.0,2.0,99999999999999999999\n")
+    out = tmp_path / "o.out"
+    if command == "gda-train":
+        args = [command, bad, "--model-out", out]
+    else:
+        args = [command, model_path, bad, "--out", out]
+    assert run(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: CsvParse: row 1: label 99999999999999999999 does not fit in int64"]
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding model.json, trained on a 2-feature blob CSV."""
+    path = tmp_path_factory.mktemp("fuzz")
+    csv_path, _ = blob_csv(path)
+    assert run(["gda-train", csv_path, "--model-out", path / "model.json"]) == 0
+    return path
+
+
+_CSV_TOKEN = st.sampled_from(list("0123456789.,-+e_ \r\n") + ["nan", "inf", "x"])
+_CSV_CELL = st.one_of(
+    st.lists(_CSV_TOKEN, max_size=4).map("".join),
+    st.integers(10**19, 10**30).map(str),  # runs of 20 to 31 digits
+)
+_CSV_TEXT = st.lists(st.lists(_CSV_CELL, max_size=4).map(",".join), max_size=5).map("\n".join)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(text=_CSV_TEXT, header=st.booleans())
+def test_cli_any_csv_text_exits_0_or_one_error_line(fuzz_dir, text, header):
+    csv_path, out = fuzz_dir / "in.csv", fuzz_dir / "o.out"
+    csv_path.write_bytes(text.encode())
+    model = fuzz_dir / "model.json"
+    for args in (["gda-train", csv_path, "--model-out", out],
+                 ["gda-eval", model, csv_path, "--out", out],
+                 ["gda-project", model, csv_path, "--out", out]):
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            code = run(args + ["--header"] * header)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert code == 1 and len(lines) == 1 and re.match(r"error: [A-Za-z]+: ", lines[0])
 
 
 def test_import_does_not_load_scipy():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,9 +29,10 @@ from stratseg.kgda import (
     _parse_joined,
     _parse_rows,
     _scatter,
-    csv_rows,
+    read_csv,
     regularization_epsilon,
 )
+from stratseg.cli import main
 from stratseg.errors import (
     CsvParse,
     DegenerateKernel,
@@ -599,7 +601,7 @@ def assert_csv_paths_agree(text, header=False):
     """load_dataset_csv gives what the row loop alone gives: the same arrays,
     or the same exception with the same message."""
     fast = _csv_outcome(lambda: load_dataset_csv(text, header))
-    loop = _csv_outcome(lambda: LabeledDataset(*_parse_rows(csv_rows(text, header))))
+    loop = _csv_outcome(lambda: LabeledDataset(*_parse_rows(_csv_lines(text, header))))
     assert fast == loop
     return fast
 
@@ -648,19 +650,37 @@ def test_dataset_csv_one_pass_matches_row_loop_on_any_text(text, header):
     assert_csv_paths_agree(text, header)
 
 
-@pytest.mark.parametrize(
-    "text,header,fast",
-    [
-        ("\n1.0,2.0,0\n\n  \n3.0,4.0,1\n\n", False, True),  # blank lines
-        ("f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n", True, True),
-        ("1.0,2.0,0\r\n3.0,4.0,1\r\n", False, True),  # CRLF
-        (" 1.0 ,\t2.0, 0 \n3.0 , 4.0 ,1\n", False, True),  # spaces around cells
-        ("1_0,2.0,1_0\n3.0,4.0,1\n", False, True),  # Python numeric underscores
-        ("1.0,2.0,1.0\n3.0,4.0,1\n", False, False),  # float label: CsvParse
-        ("1.0,2.0,0\n3.0,1\n", False, False),  # ragged rows
-        ("1.0\n2.0\n", False, False),  # single column
-    ],
-)
+def _rows_outcome(parse):
+    try:
+        x, y = parse()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return x.shape, x.tobytes(), None if y is None else (y.dtype, y.tolist())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=csv_texts(), header=st.booleans(), n_features=st.integers(1, 4))
+def test_feature_csv_one_pass_matches_row_loop(text, header, n_features):
+    """With a feature count (as gda-project reads), read_csv gives what the
+    row loop alone gives, labelled rows or not."""
+    fast = _rows_outcome(lambda: read_csv(text, header, n_features))
+    loop = _rows_outcome(lambda: _parse_rows(_csv_lines(text, header), n_features))
+    assert fast == loop
+
+
+CSV_FIXED_CASES = [  # (text, header, whether the one-pass path parses it)
+    ("\n1.0,2.0,0\n\n  \n3.0,4.0,1\n\n", False, True),  # blank lines
+    ("f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n", True, True),
+    ("1.0,2.0,0\r\n3.0,4.0,1\r\n", False, True),  # CRLF
+    (" 1.0 ,\t2.0, 0 \n3.0 , 4.0 ,1\n", False, True),  # spaces around cells
+    ("1_0,2.0,1_0\n3.0,4.0,1\n", False, True),  # Python numeric underscores
+    ("1.0,2.0,1.0\n3.0,4.0,1\n", False, False),  # float label: CsvParse
+    ("1.0,2.0,0\n3.0,1\n", False, False),  # ragged rows
+    ("1.0\n2.0\n", False, False),  # single column
+]
+
+
+@pytest.mark.parametrize("text,header,fast", CSV_FIXED_CASES)
 def test_dataset_csv_one_pass_fixed_cases(text, header, fast):
     outcome = assert_csv_paths_agree(text, header)
     assert (_parse_joined(_csv_lines(text, header)) is not None) == fast
@@ -668,6 +688,38 @@ def test_dataset_csv_one_pass_fixed_cases(text, header, fast):
         assert outcome[0] == (2, 2)
     else:
         assert outcome[0] is CsvParse
+
+
+@pytest.mark.parametrize("text,header", [(t, h) for t, h, fast in CSV_FIXED_CASES if fast])
+def test_gda_project_reads_csv_like_gda_eval(tmp_path, text, header):
+    """gda-project writes the projection of the samples load_dataset_csv
+    (gda-eval's reader) reads, with the same labels; the same rows without
+    their label column give the same numbers and no label column."""
+    model_path = tmp_path / "model.json"
+    model_path.write_text(save_model(train_gda(blobs(np.random.default_rng(67), [(0, 0), (4, 0), (0, 4)]))))
+    model = load_model(model_path.read_text())  # what the CLI projects with
+    data = load_dataset_csv(text, header)
+    rows = [",".join(map(repr, p)) for p in project(model, data.samples).tolist()]
+    unlabelled = re.sub(r",[^,\r\n]*(?=\r?$)", "", text, flags=re.M)
+    for csv, labels in ((text, data.labels.tolist()), (unlabelled, None)):
+        csv_path, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        csv_path.write_bytes(csv.encode())
+        argv = ["gda-project", str(model_path), str(csv_path), "--out", str(out)]
+        assert main(argv + ["--header"] * header) == 0
+        if labels is None:
+            want = ["g0,g1"] + rows
+        else:
+            want = ["g0,g1,label"] + [f"{r},{lab}" for r, lab in zip(rows, labels)]
+        assert out.read_text() == "\n".join(want) + "\n"
+
+
+def test_label_beyond_int64_is_an_error_not_an_overflow():
+    with pytest.raises(InvalidDataset, match="int64"):
+        LabeledDataset(np.zeros((2, 1)), [2**63, 0])
+    with pytest.raises(CsvParse, match=r"^row 1: label 99999999999999999999 does not fit in int64$"):
+        load_dataset_csv("1.0,2.0,1\n1.0,2.0,99999999999999999999\n")
+    edges = load_dataset_csv(f"1.0,{2**63 - 1}\n2.0,{-2**63}\n")
+    assert edges.labels.tolist() == [2**63 - 1, -2**63]
 
 
 def test_model_roundtrip_exact_fields_and_projections():
