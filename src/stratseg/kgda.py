@@ -70,10 +70,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         x = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
-        try:
-            y = np.asarray(self.labels, dtype=np.int64)
-        except OverflowError:
-            raise InvalidDataset("labels must fit in int64") from None
+        y = _int64_labels(self.labels)
         if x.ndim != 2 or x.shape[0] == 0:
             raise InvalidDataset("samples must be a non-empty (M, n) array")
         if not np.all(np.isfinite(x)):
@@ -90,6 +87,23 @@ class LabeledDataset:
     @property
     def n_features(self) -> int:
         return self.samples.shape[1]
+
+
+def _int64_labels(labels) -> np.ndarray:
+    """Labels as int64; InvalidDataset unless each is a whole number inside
+    int64. A whole float such as 2.0 becomes 2; a fraction or a uint64
+    beyond int64 is an error, not a truncated or wrapped label."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind == "f":
+        whole = np.isfinite(raw) & (raw == np.trunc(raw))
+        if not np.all(whole & (raw >= -(2.0**63)) & (raw < 2.0**63)):
+            raise InvalidDataset("labels must be whole numbers that fit in int64")
+    elif raw.dtype.kind == "u" and raw.size and raw.max() > np.iinfo(np.int64).max:
+        raise InvalidDataset("labels must fit in int64")
+    try:
+        return raw.astype(np.int64)
+    except OverflowError:
+        raise InvalidDataset("labels must fit in int64") from None
 
 
 @dataclass(frozen=True)
@@ -336,7 +350,9 @@ def train_gda(
         samples=data.samples,
         labels=data.labels,
         spec=spec,
-        sigmas=sigmas,
+        # C order, as load_model builds it, so `project` gives the same bits
+        # before and after a save_model/load_model round trip
+        sigmas=np.ascontiguousarray(sigmas),
         etas=etas,
         eps=eps,
         classes=classes,

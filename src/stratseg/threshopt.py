@@ -6,14 +6,23 @@ made continuous in the threshold by piecewise-linear interpolation of the
 histogram's cumulative sums, and is maximized by a 1-D Nelder-Mead simplex
 followed by rounding and a local integer refinement.
 
+The cumulative tables and the knot tables are built for a block of up to
+`_BLOCK_ROWS` source histograms at once, in one set of array calls over
+their (rows, 256) stack (`_Tables`); `threshold_tree` stacks the histograms of all its source nodes,
+and `optimize_leaf`, `objective` and `oracle_best_threshold` use a stack of
+one. Each row's numbers do not depend on the other rows. The simplex and
+the refinement then run per leaf.
+
 J has two evaluation paths over the same cumulative tables. A simplex probe
-(`_Tables.probe`) computes J at one real threshold in plain Python floats,
+(`_Tables.prober`) computes J at one real threshold in plain Python floats,
 avoiding numpy's per-call overhead, and returns the same bits as the numpy
 formula on a 0-d array: the square is written `** 2`, which like numpy's
-float64 scalar power calls C pow() (`x * x` can differ in the last bit), and
-the logs go through `np.log`, because `math.log` differs in the last bit on
-a few inputs. The knot table (`_Tables.knots`) computes J at the 256 integer
-knots in one array call, straight from the tables: at a knot the
+float64 scalar power calls C pow() (`x * x`, which the array square
+computes, can differ in the last bit), and the logs go through `np.log`,
+because `math.log` differs in the last bit on a few inputs. It reads the
+tables through the row's memoryview, whose items are Python floats. The
+knot table (`_Tables.knots`) computes J at the 256 integer knots of every
+row in one array call, straight from the tables: at a knot the
 interpolation adds 0 * diff, so it needs no clip, floor or interpolation.
 Refinement and the exhaustive 256-candidate oracle, which backs every
 optimizer claim, read that table."""
@@ -44,6 +53,7 @@ __all__ = [
 ]
 
 _LN256 = math.log(256.0)
+_BLOCK_ROWS = 32  # histograms per table pass: bounds the (rows, 256) temporaries
 
 
 @dataclass(frozen=True)
@@ -114,29 +124,26 @@ class ThresholdReport:
 
 
 class _Tables:
-    """Cumulative-sum tables giving a continuous extension of the objective."""
+    """Cumulative-sum tables of a (rows, 256) stack of histograms, one row
+    each, giving a continuous extension of the objective."""
 
-    def __init__(self, hist):
-        counts = np.asarray(hist, dtype=np.float64)
-        n = float(counts.sum())
-        if n <= 0:
+    def __init__(self, hists):
+        counts = np.atleast_2d(np.asarray(hists, dtype=np.float64))
+        n = counts.sum(axis=1)
+        if np.any(n <= 0):
             raise EmptyHistogram("histogram has zero total count")
         levels = np.arange(256, dtype=np.float64)
         self.n = n
-        self.cum_w = np.cumsum(counts)
-        self.cum_s = np.cumsum(counts * levels)
-        p = counts / n
+        self.cum_w = np.cumsum(counts, axis=1)
+        self.cum_s = np.cumsum(counts * levels, axis=1)
+        p = counts / n[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             a = np.where(p > 0, -p * np.log(p), 0.0)
-        self.cum_a = np.cumsum(a)
-        # the same tables as Python floats, for probe()
-        self.lw = self.cum_w.tolist()
-        self.ls = self.cum_s.tolist()
-        self.la = self.cum_a.tolist()
-        self.a_tot = self.la[-1]
-        self.s_tot = self.ls[-1]
+        self.cum_a = np.cumsum(a, axis=1)
+        self.a_tot = self.cum_a[:, -1]
+        self.s_tot = self.cum_s[:, -1]
         self.mean = self.s_tot / n
-        self.var_tot = float((counts * (levels - self.mean) ** 2).sum() / n)
+        self.var_tot = (counts * (levels - self.mean[:, None]) ** 2).sum(axis=1) / n
 
     def _interp(self, table, t):
         # piecewise-linear between integer knots; exact at the knots
@@ -146,62 +153,73 @@ class _Tables:
         hi = np.minimum(k + 1, 255)
         return table[k] + frac * (table[hi] - table[k])
 
-    def _j(self, w, s, a, w_var: float, w_ent: float) -> np.ndarray:
-        """J from arrays of interpolated cumulative weight, sum and entropy."""
-        om0 = w / self.n
+    def _j(self, rows, w, s, a, w_var, w_ent) -> np.ndarray:
+        """J from arrays of interpolated cumulative weight, sum and entropy;
+        `rows` indexes the per-row totals so that they broadcast against w."""
+        n, s_tot, a_tot = self.n[rows], self.s_tot[rows], self.a_tot[rows]
+        var_tot = self.var_tot[rows]
+        om0 = w / n
         om1 = 1.0 - om0
         # lanes that divide by zero or take log(0) are dropped by np.where
         with np.errstate(divide="ignore", invalid="ignore"):
             mu0 = np.where(w > 0, s / w, 0.0)
-            mu1 = np.where(om1 > 0, (self.s_tot - s) / (self.n - w), 0.0)
+            mu1 = np.where(om1 > 0, (s_tot - s) / (n - w), 0.0)
             bcv = om0 * om1 * (mu0 - mu1) ** 2
-            v = bcv / self.var_tot if self.var_tot > 0 else np.zeros_like(bcv)
+            v = np.where(var_tot > 0, bcv / var_tot, 0.0)
             h0 = np.where(om0 > 0, np.log(om0) + a / om0, 0.0)
-            h1 = np.where(om1 > 0, np.log(om1) + (self.a_tot - a) / om1, 0.0)
+            h1 = np.where(om1 > 0, np.log(om1) + (a_tot - a) / om1, 0.0)
         e = np.clip((h0 + h1) / (2.0 * _LN256), 0.0, 1.0)
         return w_var * v + w_ent * e
 
-    def evaluate(self, t, w_var: float, w_ent: float) -> np.ndarray:
-        """J on an array of t; t is clamped into [0, 255]."""
+    def evaluate(self, i: int, t, w_var: float, w_ent: float) -> np.ndarray:
+        """J of row i on an array of t; t is clamped into [0, 255]."""
         t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 255.0)
         return self._j(
-            self._interp(self.cum_w, t),
-            self._interp(self.cum_s, t),
-            self._interp(self.cum_a, t),
+            i,
+            self._interp(self.cum_w[i], t),
+            self._interp(self.cum_s[i], t),
+            self._interp(self.cum_a[i], t),
             w_var,
             w_ent,
         )
 
-    def knots(self, w_var: float, w_ent: float) -> np.ndarray:
-        """J at the 256 integer knots, where the interpolation is the table."""
-        return self._j(self.cum_w, self.cum_s, self.cum_a, w_var, w_ent)
+    def knots(self, w_var, w_ent) -> np.ndarray:
+        """(rows, 256) J at the integer knots, where the interpolation is the
+        table; the weights are scalars or (rows, 1) columns."""
+        return self._j(np.s_[:, None], self.cum_w, self.cum_s, self.cum_a, w_var, w_ent)
 
-    def probe(self, t: float, w_var: float, w_ent: float) -> float:
-        """J at one real t (clamped into [0, 255]; NaN gives NaN) in plain
-        floats, bit-identical to the array formula on a 0-d array (see the
-        module docstring for `** 2` and np.log)."""
-        if t != t:
-            return math.nan
-        t = 0.0 if t <= 0.0 else min(t, 255.0)
-        k = int(t)
-        frac = t - k
-        hi = k + 1 if k < 255 else 255
-        lw, ls, la = self.lw, self.ls, self.la
-        w = lw[k] + frac * (lw[hi] - lw[k])
-        s = ls[k] + frac * (ls[hi] - ls[k])
-        a = la[k] + frac * (la[hi] - la[k])
-        n = self.n
-        om0 = w / n
-        om1 = 1.0 - om0
-        mu0 = s / w if w > 0 else 0.0
-        mu1 = (self.s_tot - s) / (n - w) if om1 > 0 else 0.0
-        bcv = om0 * om1 * (mu0 - mu1) ** 2
-        v = bcv / self.var_tot if self.var_tot > 0 else 0.0
-        h0 = float(np.log(om0)) + a / om0 if om0 > 0 else 0.0
-        h1 = float(np.log(om1)) + (self.a_tot - a) / om1 if om1 > 0 else 0.0
-        e = (h0 + h1) / (2.0 * _LN256)
-        e = 0.0 if e <= 0.0 else min(e, 1.0)  # np.clip: -0.0 -> 0.0, NaN kept
-        return w_var * v + w_ent * e
+    def prober(self, i: int, w_var: float, w_ent: float) -> Callable[[float], float]:
+        """J of row i at one real t (clamped into [0, 255]; NaN gives NaN) in
+        plain floats, bit-identical to the array formula on a 0-d array (see
+        the module docstring for `** 2`, np.log and the memoryviews)."""
+        lw, ls, la = self.cum_w[i].data, self.cum_s[i].data, self.cum_a[i].data
+        n, s_tot, a_tot, var_tot = (
+            float(x[i]) for x in (self.n, self.s_tot, self.a_tot, self.var_tot)
+        )
+
+        def probe(t: float) -> float:
+            if t != t:
+                return math.nan
+            t = 0.0 if t <= 0.0 else min(t, 255.0)
+            k = int(t)
+            frac = t - k
+            hi = k + 1 if k < 255 else 255
+            w = lw[k] + frac * (lw[hi] - lw[k])
+            s = ls[k] + frac * (ls[hi] - ls[k])
+            a = la[k] + frac * (la[hi] - la[k])
+            om0 = w / n
+            om1 = 1.0 - om0
+            mu0 = s / w if w > 0 else 0.0
+            mu1 = (s_tot - s) / (n - w) if om1 > 0 else 0.0
+            bcv = om0 * om1 * (mu0 - mu1) ** 2
+            v = bcv / var_tot if var_tot > 0 else 0.0
+            h0 = float(np.log(om0)) + a / om0 if om0 > 0 else 0.0
+            h1 = float(np.log(om1)) + (a_tot - a) / om1 if om1 > 0 else 0.0
+            e = (h0 + h1) / (2.0 * _LN256)
+            e = 0.0 if e <= 0.0 else min(e, 1.0)  # np.clip: -0.0 -> 0.0, NaN kept
+            return w_var * v + w_ent * e
+
+        return probe
 
 
 def objective(hist, t, weights: ObjectiveWeights = ObjectiveWeights(), complexity: float = 1.0):
@@ -209,8 +227,8 @@ def objective(hist, t, weights: ObjectiveWeights = ObjectiveWeights(), complexit
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
     if np.ndim(t) == 0:
-        return tab.probe(float(t), wv, we)
-    return tab.evaluate(t, wv, we)
+        return tab.prober(0, wv, we)(float(t))
+    return tab.evaluate(0, t, wv, we)
 
 
 def nelder_mead_1d(
@@ -269,6 +287,35 @@ def _refine_integer(j: np.ndarray, t_star: float) -> int:
             return t
 
 
+def _optimize_rows(hists, complexities, weights: ObjectiveWeights, params: SimplexParams) -> list:
+    """One LeafThreshold per histogram of the sequence `hists`.
+
+    The tables and knot tables are built for `_BLOCK_ROWS` rows at a time;
+    the simplex (in plain floats) and the refinement run per row.
+    """
+    out = []
+    for lo in range(0, len(hists), _BLOCK_ROWS):
+        tab = _Tables(hists[lo : lo + _BLOCK_ROWS])
+        eff = [weights.effective(c) for c in complexities[lo : lo + _BLOCK_ROWS]]
+        cols = np.array(eff)
+        j = tab.knots(cols[:, :1], cols[:, 1:])
+        for i, ((wv, we), mean) in enumerate(zip(eff, tab.mean.tolist())):
+            x_star, _, iters, converged = nelder_mead_1d(tab.prober(i, wv, we), mean, params)
+            t = _refine_integer(j[i], x_star)
+            out.append(
+                LeafThreshold(
+                    threshold=t,
+                    continuous_optimum=float(x_star),
+                    objective_value=float(j[i, t]),
+                    w_var=wv,
+                    w_ent=we,
+                    iterations=iters,
+                    converged=converged,
+                )
+            )
+    return out
+
+
 def optimize_leaf(
     hist,
     complexity: float,
@@ -280,22 +327,7 @@ def optimize_leaf(
     The returned threshold is always an integer local maximum of J over its
     integer neighbors, and objective_value is J's knot-table entry there.
     """
-    tab = _Tables(hist)
-    wv, we = weights.effective(complexity)
-    x_star, _, iters, converged = nelder_mead_1d(
-        lambda t: tab.probe(t, wv, we), tab.mean, params
-    )
-    j = tab.knots(wv, we)
-    t = _refine_integer(j, x_star)
-    return LeafThreshold(
-        threshold=t,
-        continuous_optimum=float(x_star),
-        objective_value=float(j[t]),
-        w_var=wv,
-        w_ent=we,
-        iterations=iters,
-        converged=converged,
-    )
+    return _optimize_rows([hist], [complexity], weights, params)[0]
 
 
 def oracle_best_threshold(
@@ -304,7 +336,7 @@ def oracle_best_threshold(
     """Exhaustive argmax of J over all 256 integer thresholds (smallest-t tie)."""
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
-    j = tab.knots(wv, we)
+    j = tab.knots(wv, we)[0]
     t = int(np.argmax(j))
     return t, float(j[t])
 
@@ -346,22 +378,23 @@ def threshold_tree(
     `tree` is `build_quadtree(img, ...)`; each threshold is optimized on the
     histogram its source node keeps, so no pixel is binned again here.
     """
-    cache = {}
-    entries = []
-    for leaf, source in _leaf_sources(tree):
-        key = id(source)
-        if key not in cache:
-            cache[key] = optimize_leaf(
-                source.hist, region_complexity(source), weights, params
-            )
-        base = cache[key]
-        entries.append(
-            replace(
-                base,
-                rect=leaf.rect,
-                source_rect=None if source is leaf else source.rect,
-            )
+    pairs = _leaf_sources(tree)
+    sources = list({id(source): source for _, source in pairs}.values())
+    found = _optimize_rows(
+        [source.hist for source in sources],
+        [region_complexity(source) for source in sources],
+        weights,
+        params,
+    )
+    by_source = {id(source): base for source, base in zip(sources, found)}
+    entries = [
+        replace(
+            by_source[id(source)],
+            rect=leaf.rect,
+            source_rect=None if source is leaf else source.rect,
         )
+        for leaf, source in pairs
+    ]
     return ThresholdReport(tuple(entries))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratseg import GrayImage, Rect, load_pgm, region_histogram, save_pgm
 from stratseg.errors import (
@@ -62,6 +63,43 @@ def test_roundtrip_canonical_bytes():
         w, h = rng.integers(1, 40, size=2)
         raw = canonical_p5(w, h, rng.integers(0, 256, size=w * h, dtype=np.uint8).tobytes())
         assert save_pgm(load_pgm(raw)) == raw
+
+
+_SPACE = st.text(alphabet=" \t\r\n", min_size=1, max_size=3)
+_COMMENT = st.text(alphabet="abc #\t", max_size=6).map(lambda c: "#" + c + "\n")
+
+
+@st.composite
+def pgm_inputs(draw):
+    """A valid P5 or P2 file: any whitespace and comments between header
+    tokens, leading zeros, maxval below 255, extra bytes after a P5 raster."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    maxval = draw(st.integers(1, 255))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.integers(0, maxval + 1, size=w * h)
+
+    def sep():
+        return draw(_SPACE) + "".join(draw(st.lists(_COMMENT, max_size=2)))
+
+    def number(v):
+        return "0" * draw(st.integers(0, 2)) + str(v)
+
+    magic = draw(st.sampled_from(["P5", "P2"]))
+    head = magic + sep() + number(w) + sep() + number(h) + sep() + number(maxval)
+    if magic == "P5":
+        tail = draw(st.binary(max_size=4))
+        return (head + draw(st.sampled_from(" \t\r\n"))).encode() + bytes(samples.tolist()) + tail
+    seps = rng.choice([" ", "\n", "\t", " \r\n", " #c\n"], size=w * h)
+    body = "".join(f"{s}{v}" for s, v in zip(seps, samples.tolist()))
+    return (head + body + draw(st.sampled_from(["", "\n"]))).encode()
+
+
+@settings(max_examples=200)
+@given(data=pgm_inputs())
+def test_save_of_load_is_a_fixed_point(data):
+    once = save_pgm(load_pgm(data))
+    assert save_pgm(load_pgm(once)) == once
+    assert load_pgm(once) == load_pgm(data)
 
 
 @pytest.mark.parametrize(

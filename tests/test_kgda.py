@@ -722,6 +722,27 @@ def test_label_beyond_int64_is_an_error_not_an_overflow():
     assert edges.labels.tolist() == [2**63 - 1, -2**63]
 
 
+def test_fractional_or_wrapped_label_is_an_error():
+    x = np.zeros((3, 1))
+    for labels in ([0.5, 1.7, -2.9], [0.0, 1.0, np.nan], [0.0, 1.0, 2.0**63],
+                   np.array([0, 1, 2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(InvalidDataset):
+            LabeledDataset(x, labels)
+    whole = LabeledDataset(x, [2.0, -1.0, 0.0]).labels
+    assert whole.dtype == np.int64 and whole.tolist() == [2, -1, 0]
+    small = LabeledDataset(x, np.array([0, 1, 2**63 - 1], dtype=np.uint64)).labels
+    assert small.tolist() == [0, 1, 2**63 - 1]
+
+
+def test_fresh_and_round_tripped_models_project_bit_identically():
+    rng = np.random.default_rng(67)
+    model = train_gda(blobs(rng, [(0, 0), (4, 0), (0, 4)]))
+    back = load_model(save_model(model))
+    u = np.vstack([[1.0, 2.0], rng.normal(0, 3, size=(40, 2))])
+    assert project(back, u).tobytes() == project(model, u).tobytes()
+    assert classify_nearest_mean(back, u).tolist() == classify_nearest_mean(model, u).tolist()
+
+
 def test_model_roundtrip_exact_fields_and_projections():
     rng = np.random.default_rng(66)
     data = blobs(rng, [(0, 0), (4, 0), (0, 4)], n_per=6)

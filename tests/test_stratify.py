@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratseg import (
     GrayImage,
@@ -111,6 +112,42 @@ def test_leaves_tile_image_exactly():
             r = leaf.rect
             cover[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] += 1
         assert np.all(cover == 1)
+
+
+@st.composite
+def images(draw, max_side=300):
+    """Noise, blocky noise or a disk, up to max_side on each side."""
+    w, h = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["noise", "blocky", "disk"]))
+    if style == "noise":
+        return GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+    if style == "blocky":
+        small = rng.integers(0, 256, size=(h // 9 + 1, w // 9 + 1), dtype=np.uint8)
+        return GrayImage(np.kron(small, np.ones((9, 9), dtype=np.uint8))[:h, :w])
+    return disk_image(w, h)
+
+
+policies = st.builds(
+    SplitPolicy,
+    max_depth=st.integers(0, 12),
+    min_side=st.integers(2, 64),
+    var_threshold=st.one_of(st.just(0.0), st.floats(0.0, 5000.0)),
+)
+
+
+@settings(max_examples=40)
+@given(img=images(), policy=policies)
+def test_leaves_tile_any_image_under_any_policy(img, policy):
+    """Leaves cover every pixel exactly once, and each leaf's histogram
+    holds one count per pixel of its rect."""
+    tree = build_quadtree(img, policy)
+    cover = np.zeros((img.height, img.width), dtype=np.int32)
+    for leaf in leaves(tree):
+        r = leaf.rect
+        cover[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] += 1
+        assert int(leaf.hist.sum()) == r.area and leaf.hist.min() >= 0
+    assert np.all(cover == 1)
 
 
 def test_node_stats_match_direct_pixel_computation():

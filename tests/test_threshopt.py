@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratseg import (
     GrayImage,
@@ -21,7 +22,7 @@ from stratseg import (
 from stratseg import imgio, stratify
 from stratseg.errors import EmptyHistogram, ReportTreeMismatch
 from stratseg.stratify import stats_from_histogram
-from stratseg.threshopt import _Tables
+from stratseg.threshopt import _BLOCK_ROWS, _optimize_rows, _Tables
 
 from objective_reference import ReferenceTables
 
@@ -171,14 +172,14 @@ def test_probe_is_bit_identical_to_0d_reference():
     cases += [(h, c) for h in EDGE_HISTOGRAMS for c in (0.0, 0.5, 1.0)]
     for i, (hist, complexity) in enumerate(cases):
         wv, we = ObjectiveWeights().effective(complexity)
-        ref, tab = ReferenceTables(hist), _Tables(hist)
+        ref, probe = ReferenceTables(hist), _Tables(hist).prober(0, wv, we)
         if i >= 2500:  # edge histograms: a grid across both clamps
             ts = np.arange(-2.5, 258.0, 1.25).tolist()
         else:
             ts = [-7.5, 300.25, ref.mean, ref.mean + 16.0]
             ts += [rng.uniform(0.0, 255.0), float(rng.integers(0, 256))]
         for t in ts:
-            assert bits(tab.probe(t, wv, we)) == bits(ref.evaluate(t, wv, we)), (t, hist)
+            assert bits(probe(t)) == bits(ref.evaluate(t, wv, we)), (t, hist)
 
 
 def test_knot_table_is_bit_identical_to_array_evaluation():
@@ -188,9 +189,51 @@ def test_knot_table_is_bit_identical_to_array_evaluation():
     for hist, complexity in cases:
         wv, we = ObjectiveWeights().effective(complexity)
         tab = _Tables(hist)
-        table = tab.knots(wv, we)
-        assert np.array_equal(bits(table), bits(tab.evaluate(knots, wv, we)))
+        table = tab.knots(wv, we)[0]
+        assert np.array_equal(bits(table), bits(tab.evaluate(0, knots, wv, we)))
         assert np.array_equal(bits(table), bits(ReferenceTables(hist).evaluate(knots, wv, we)))
+
+
+def _row(kind, rng):
+    """One nonempty histogram of the given kind, and a complexity."""
+    h = np.zeros(256, dtype=np.int64)
+    if kind == "mass at 0":
+        h[0] = rng.integers(1, 500)
+    elif kind == "mass at 255":
+        h[255] = rng.integers(1, 500)
+    elif kind == "single level":
+        h[rng.integers(0, 256)] = rng.integers(1, 500)
+    elif kind == "bimodal":
+        h = bimodal_hist(rng, n=int(rng.integers(50, 5000)))
+    elif kind == "sparse":
+        h = np.where(rng.random(256) < 0.05, rng.integers(1, 60, size=256), 0)
+        h[rng.integers(0, 256)] += 1
+    else:  # "noise"
+        h = rng.integers(0, 30, size=256)
+        h[rng.integers(0, 256)] += 10
+    return h, float(rng.uniform(0, 1))
+
+
+ROW_KINDS = ["mass at 0", "mass at 255", "single level", "bimodal", "sparse", "noise"]
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5])
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1))
+def test_batched_rows_match_optimize_leaf_alone(rows, seed, kinds):
+    """Every row's LeafThreshold from one batched call is bit-identical to
+    optimize_leaf on that histogram alone, whatever else is in its block."""
+    rng = np.random.default_rng(seed)
+    cases = [_row(kinds[i % len(kinds)], rng) for i in range(rows)]
+    hists = np.stack([h for h, _ in cases])
+    batched = _optimize_rows(hists, [c for _, c in cases], ObjectiveWeights(), SimplexParams())
+    assert len(batched) == rows
+    for (hist, complexity), got in zip(cases, batched):
+        alone = optimize_leaf(hist, complexity)
+        assert got == alone
+        assert bits(got.continuous_optimum) == bits(alone.continuous_optimum)
+        assert bits(got.objective_value) == bits(alone.objective_value)
+        assert (bits(got.w_var), bits(got.w_ent)) == (bits(alone.w_var), bits(alone.w_ent))
 
 
 def test_scalar_objective_is_probe():
@@ -387,6 +430,24 @@ def test_threshold_tree_reads_node_histograms(monkeypatch):
     monkeypatch.setattr(stratify, "region_histogram", no_binning)
     monkeypatch.setattr(np, "bincount", no_binning)  # binning under any name
     assert threshold_tree(img, tree).entries == expect.entries
+
+
+def test_threshold_tree_empty_source_histogram_raises():
+    rng = np.random.default_rng(41)
+    img = GrayImage(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
+    tree = build_quadtree(img, SplitPolicy(max_depth=3, min_side=4, var_threshold=200.0))
+    assert len(threshold_tree(img, tree)) == 64  # each leaf is its own source
+
+    def zero_last_leaf(node):
+        if node.is_leaf:
+            return replace(node, hist=np.zeros_like(node.hist))
+        return replace(node, children=node.children[:-1] + (zero_last_leaf(node.children[-1]),))
+
+    emptied = replace(tree, root=zero_last_leaf(tree.root))
+    with pytest.raises(EmptyHistogram):
+        threshold_tree(img, emptied)
+    with pytest.raises(EmptyHistogram):
+        optimize_leaf(np.zeros(256, dtype=np.int64), 0.5)
 
 
 def test_threshold_tree_deterministic():
