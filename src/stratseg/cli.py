@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import imgio, kgda, phantom, stratify, threshopt
-from .errors import IoError, StratsegError
+from .errors import InvalidArgument, IoError, StratsegError
 
 
 def _read_bytes(path: str) -> bytes:
@@ -158,8 +158,18 @@ def cmd_gda_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors (a flag value that does not
+    parse, an unknown choice, a missing flag or subcommand) raise
+    InvalidArgument, so they follow the one-line error contract; the
+    subcommand parsers are made from this class too."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="stratseg",
         description="Quadtree-stratified adaptive thresholding and kernel GDA.",
     )
@@ -219,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except StratsegError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -6,26 +6,28 @@ made continuous in the threshold by piecewise-linear interpolation of the
 histogram's cumulative sums, and is maximized by a 1-D Nelder-Mead simplex
 followed by rounding and a local integer refinement.
 
-The cumulative tables and the knot tables are built for a block of up to
-`_BLOCK_ROWS` source histograms at once, in one set of array calls over
-their (rows, 256) stack (`_Tables`); `threshold_tree` stacks the histograms of all its source nodes,
-and `optimize_leaf`, `objective` and `oracle_best_threshold` use a stack of
-one. Each row's numbers do not depend on the other rows. The simplex and
-the refinement then run per leaf.
+Source histograms are optimized in blocks of up to `_BLOCK_ROWS` (256)
+rows. A block's cumulative tables are built in one set of array calls over
+its (rows, 256) stack (`_Tables`), and the simplex and the refinement then
+run in lockstep over the block's rows: each step is one set of array calls
+over the rows still active, with per-row masks for each row's branch, and a
+row retires when it is done (`_simplex`, `_refine`). Each row's numbers do
+not depend on the other rows. `threshold_tree` passes the histograms of all
+its source nodes; `optimize_leaf`, `objective` and `nelder_mead_1d` are the
+one-row case.
 
-J has two evaluation paths over the same cumulative tables. A simplex probe
-(`_Tables.prober`) computes J at one real threshold in plain Python floats,
-avoiding numpy's per-call overhead, and returns the same bits as the numpy
-formula on a 0-d array: the square is written `** 2`, which like numpy's
-float64 scalar power calls C pow() (`x * x`, which the array square
-computes, can differ in the last bit), and the logs go through `np.log`,
-because `math.log` differs in the last bit on a few inputs. It reads the
-tables through the row's memoryview, whose items are Python floats. The
-knot table (`_Tables.knots`) computes J at the 256 integer knots of every
-row in one array call, straight from the tables: at a knot the
-interpolation adds 0 * diff, so it needs no clip, floor or interpolation.
-Refinement and the exhaustive 256-candidate oracle, which backs every
-optimizer claim, read that table."""
+There is one formula for J (`_Tables._j`), over values gathered from the
+cumulative tables; it takes the square as an argument. Simplex probes
+(`_Tables.probe`) square with `np.float_power(d, 2.0)`, which calls C pow()
+like a Python float's `d ** 2`, so they give the bits of J computed in plain
+Python floats; `d * d`, which an array `** 2` and `np.power` compute, can
+differ in the last bit. Logs are array `np.log`, which gives the bits of
+scalar `np.log` (`math.log` differs on a few inputs); a test pins both. The refinement reads J
+at the knots of a +-3 window around each row's rounded optimum, and then one
+knot at a time while a row still climbs; at a knot the interpolation adds
+0 * diff, and J squares with `d * d` there, as the 256-knot table
+(`_Tables.knots`) does. That full table backs only the exhaustive
+`oracle_best_threshold`, which backs every optimizer claim."""
 
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 _LN256 = math.log(256.0)
-_BLOCK_ROWS = 32  # histograms per table pass: bounds the (rows, 256) temporaries
+_BLOCK_ROWS = 256  # rows per table pass and lockstep group: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -128,32 +130,45 @@ class _Tables:
     each, giving a continuous extension of the objective."""
 
     def __init__(self, hists):
-        counts = np.atleast_2d(np.asarray(hists, dtype=np.float64))
+        counts = np.array(hists, dtype=np.float64, ndmin=2)  # a copy: written in place below
         n = counts.sum(axis=1)
         if np.any(n <= 0):
             raise EmptyHistogram("histogram has zero total count")
         levels = np.arange(256, dtype=np.float64)
         self.n = n
-        self.cum_w = np.cumsum(counts, axis=1)
-        self.cum_s = np.cumsum(counts * levels, axis=1)
-        p = counts / n[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(p > 0, -p * np.log(p), 0.0)
-        self.cum_a = np.cumsum(a, axis=1)
-        self.a_tot = self.cum_a[:, -1]
+        # the three tables interleaved, so one gather reads all three; the
+        # (rows, 256) steps below work in place to bound the temporaries
+        self.cum = np.empty(counts.shape + (3,))
+        self.cum_w, self.cum_s, self.cum_a = (self.cum[..., i] for i in range(3))
+        np.cumsum(counts, axis=1, out=self.cum_w)
+        np.cumsum(np.multiply(counts, levels, out=self.cum_s), axis=1, out=self.cum_s)
         self.s_tot = self.cum_s[:, -1]
         self.mean = self.s_tot / n
-        self.var_tot = (counts * (levels - self.mean[:, None]) ** 2).sum(axis=1) / n
+        dev = levels - self.mean[:, None]
+        np.square(dev, out=dev)
+        dev *= counts
+        self.var_tot = dev.sum(axis=1) / n
+        del dev
+        p = np.divide(counts, n[:, None], out=counts)
+        occupied = p > 0
+        q = p[occupied]
+        # p becomes -p log p, on the occupied levels only: log(0) takes a slow path
+        q *= np.log(q)
+        p[occupied] = np.negative(q, out=q)
+        np.cumsum(p, axis=1, out=self.cum_a)
+        self.a_tot = self.cum_a[:, -1]
 
-    def _interp(self, table, t):
-        # piecewise-linear between integer knots; exact at the knots
-        k = np.floor(t).astype(np.int64)
-        k = np.clip(k, 0, 255)
-        frac = t - k
-        hi = np.minimum(k + 1, 255)
-        return table[k] + frac * (table[hi] - table[k])
+    def _at(self, rows, t):
+        """Interpolated (w, s, a) of `rows` at t, clamped into [0, 255];
+        piecewise-linear between integer knots and exact at them."""
+        t = np.clip(t, 0.0, 255.0)
+        k = t.astype(np.int64)  # t >= 0, so truncation is floor
+        frac = (t - k)[..., None]
+        lo, hi = self.cum[rows, k], self.cum[rows, np.minimum(k + 1, 255)]
+        v = lo + frac * (hi - lo)
+        return v[..., 0], v[..., 1], v[..., 2]
 
-    def _j(self, rows, w, s, a, w_var, w_ent) -> np.ndarray:
+    def _j(self, rows, w, s, a, w_var, w_ent, square) -> np.ndarray:
         """J from arrays of interpolated cumulative weight, sum and entropy;
         `rows` indexes the per-row totals so that they broadcast against w."""
         n, s_tot, a_tot = self.n[rows], self.s_tot[rows], self.a_tot[rows]
@@ -164,7 +179,7 @@ class _Tables:
         with np.errstate(divide="ignore", invalid="ignore"):
             mu0 = np.where(w > 0, s / w, 0.0)
             mu1 = np.where(om1 > 0, (s_tot - s) / (n - w), 0.0)
-            bcv = om0 * om1 * (mu0 - mu1) ** 2
+            bcv = om0 * om1 * square(mu0 - mu1)
             v = np.where(var_tot > 0, bcv / var_tot, 0.0)
             h0 = np.where(om0 > 0, np.log(om0) + a / om0, 0.0)
             h1 = np.where(om1 > 0, np.log(om1) + (a_tot - a) / om1, 0.0)
@@ -173,53 +188,33 @@ class _Tables:
 
     def evaluate(self, i: int, t, w_var: float, w_ent: float) -> np.ndarray:
         """J of row i on an array of t; t is clamped into [0, 255]."""
-        t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 255.0)
-        return self._j(
-            i,
-            self._interp(self.cum_w[i], t),
-            self._interp(self.cum_s[i], t),
-            self._interp(self.cum_a[i], t),
-            w_var,
-            w_ent,
-        )
+        t = np.asarray(t, dtype=np.float64)
+        return self._j(i, *self._at(i, t), w_var, w_ent, np.square)
+
+    def probe(self, rows, t, w_var, w_ent) -> np.ndarray:
+        """J of each row of the (r, 1) index `rows` at the matching row of
+        the (r, c) points t, as a scalar probe computes it: the square is
+        C pow (see the module docstring). t is clamped into [0, 255]."""
+        return self._j(rows, *self._at(rows, t), w_var, w_ent, _pow2)
+
+    def at_knots(self, rows, k, w_var, w_ent) -> np.ndarray:
+        """J of `rows` at integer knots k, as the knot table has it; -inf
+        where k is outside [0, 255]."""
+        j = self._j(rows, *self._at(rows, k.astype(np.float64)), w_var, w_ent, np.square)
+        return np.where((k >= 0) & (k <= 255), j, -np.inf)
 
     def knots(self, w_var, w_ent) -> np.ndarray:
         """(rows, 256) J at the integer knots, where the interpolation is the
         table; the weights are scalars or (rows, 1) columns."""
-        return self._j(np.s_[:, None], self.cum_w, self.cum_s, self.cum_a, w_var, w_ent)
-
-    def prober(self, i: int, w_var: float, w_ent: float) -> Callable[[float], float]:
-        """J of row i at one real t (clamped into [0, 255]; NaN gives NaN) in
-        plain floats, bit-identical to the array formula on a 0-d array (see
-        the module docstring for `** 2`, np.log and the memoryviews)."""
-        lw, ls, la = self.cum_w[i].data, self.cum_s[i].data, self.cum_a[i].data
-        n, s_tot, a_tot, var_tot = (
-            float(x[i]) for x in (self.n, self.s_tot, self.a_tot, self.var_tot)
+        return self._j(
+            np.s_[:, None], self.cum_w, self.cum_s, self.cum_a, w_var, w_ent, np.square
         )
 
-        def probe(t: float) -> float:
-            if t != t:
-                return math.nan
-            t = 0.0 if t <= 0.0 else min(t, 255.0)
-            k = int(t)
-            frac = t - k
-            hi = k + 1 if k < 255 else 255
-            w = lw[k] + frac * (lw[hi] - lw[k])
-            s = ls[k] + frac * (ls[hi] - ls[k])
-            a = la[k] + frac * (la[hi] - la[k])
-            om0 = w / n
-            om1 = 1.0 - om0
-            mu0 = s / w if w > 0 else 0.0
-            mu1 = (s_tot - s) / (n - w) if om1 > 0 else 0.0
-            bcv = om0 * om1 * (mu0 - mu1) ** 2
-            v = bcv / var_tot if var_tot > 0 else 0.0
-            h0 = float(np.log(om0)) + a / om0 if om0 > 0 else 0.0
-            h1 = float(np.log(om1)) + (a_tot - a) / om1 if om1 > 0 else 0.0
-            e = (h0 + h1) / (2.0 * _LN256)
-            e = 0.0 if e <= 0.0 else min(e, 1.0)  # np.clip: -0.0 -> 0.0, NaN kept
-            return w_var * v + w_ent * e
 
-        return probe
+def _pow2(d):
+    # C pow(d, 2.0), the bits of a Python float's `d ** 2`; `d * d`, which
+    # np.power(d, 2.0) also computes, can differ from it in the last bit
+    return np.float_power(d, 2.0)
 
 
 def objective(hist, t, weights: ObjectiveWeights = ObjectiveWeights(), complexity: float = 1.0):
@@ -227,8 +222,60 @@ def objective(hist, t, weights: ObjectiveWeights = ObjectiveWeights(), complexit
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
     if np.ndim(t) == 0:
-        return tab.prober(0, wv, we)(float(t))
+        t = float(t)
+        if t != t:
+            return math.nan
+        return tab.probe(np.zeros((1, 1), np.int64), np.full((1, 1), t), wv, we).item()
     return tab.evaluate(0, t, wv, we)
+
+
+def _simplex(probe, x0: np.ndarray, params: SimplexParams):
+    """`nelder_mead_1d` over many rows in lockstep.
+
+    Row i maximizes its own function from {x0[i], x0[i] + 16}.
+    `probe(rows, pts)` returns the (r, c) values of the rows named by the
+    (r, 1) index `rows` at the points pts (r, c). Each iteration evaluates
+    the reflection, expansion and contraction points of every active row in
+    one call, and per-row masks take the branch the scalar loop would; the
+    probes are pure, so the points a row does not take change nothing. A
+    row retires when its vertex gap falls below `diameter_tol` or at
+    `max_iter`. Returns arrays (x_best, f_best, iterations, converged).
+    """
+    v0 = np.array(x0, dtype=np.float64)  # a copy: retired rows are written into it
+    v1 = v0 + 16.0
+    f0, f1 = probe(np.arange(len(v0))[:, None], np.stack([v0, v1], axis=1)).T
+    iters = np.zeros(len(v0), dtype=np.int64)
+    idx = np.flatnonzero(np.abs(v0 - v1) >= params.diameter_tol)
+    b, w, fb, fw = v0[idx], v1[idx], f0[idx], f1[idx]  # the active rows' vertices
+    for it in range(1, params.max_iter + 1):
+        if not idx.size:
+            break
+        swap = fw > fb
+        b, w = np.where(swap, w, b), np.where(swap, b, w)
+        fb, fw = np.where(swap, fw, fb), np.where(swap, fb, fw)
+        # reflection, expansion and contraction; b - d/2 is b + (w - b)/2 exactly
+        pts = b[:, None] + (b - w)[:, None] * np.array([1.0, 2.0, -0.5])
+        xr, xe, xc = pts.T
+        fr, fe, fc = probe(idx[:, None], pts).T
+        up = fr > fb
+        take_e = up & (fe > fr)
+        take_c = ~up & ~(fr > fw)
+        w = np.where(take_e, xe, np.where(take_c, xc, xr))
+        fw = np.where(take_e, fe, np.where(take_c, fc, fr))
+        iters[idx] = it
+        keep = (np.abs(b - w) >= params.diameter_tol) & (it < params.max_iter)
+        if not keep.all():
+            gone = ~keep
+            done = idx[gone]
+            v0[done], v1[done], f0[done], f1[done] = b[gone], w[gone], fb[gone], fw[gone]
+            idx, b, w, fb, fw = idx[keep], b[keep], w[keep], fb[keep], fw[keep]
+    swap = f1 > f0
+    return (
+        np.where(swap, v1, v0),
+        np.where(swap, f1, f0),
+        iters,
+        np.abs(v0 - v1) < params.diameter_tol,
+    )
 
 
 def nelder_mead_1d(
@@ -238,79 +285,71 @@ def nelder_mead_1d(
 
     Reflection 1, expansion 2 and contraction 0.5 are fixed. With two
     vertices the contraction point is also the shrink point, so a contraction
-    always replaces the worst vertex. Returns (x_best, f_best, iterations,
-    converged).
+    always replaces the worst vertex. This is the one-row case of the
+    lockstep simplex, so f is called on the reflection, expansion and
+    contraction point of every iteration. Returns (x_best, f_best,
+    iterations, converged).
     """
-    verts = [float(x0), float(x0) + 16.0]
-    fvals = [f(verts[0]), f(verts[1])]
-    iters = 0
-    while iters < params.max_iter and abs(verts[0] - verts[1]) >= params.diameter_tol:
-        if fvals[1] > fvals[0]:
-            verts.reverse()
-            fvals.reverse()
-        best, worst = verts
-        fb, fw = fvals
-        xr = best + (best - worst)
-        fr = f(xr)
-        if fr > fb:
-            xe = best + 2.0 * (best - worst)
-            fe = f(xe)
-            if fe > fr:
-                verts[1], fvals[1] = xe, fe
-            else:
-                verts[1], fvals[1] = xr, fr
-        elif fr > fw:
-            verts[1], fvals[1] = xr, fr
-        else:
-            xc = best + 0.5 * (worst - best)
-            verts[1], fvals[1] = xc, f(xc)
-        iters += 1
-    if fvals[1] > fvals[0]:
-        verts.reverse()
-        fvals.reverse()
-    converged = abs(verts[0] - verts[1]) < params.diameter_tol
-    return verts[0], fvals[0], iters, converged
+
+    def probe(rows, pts):
+        return np.array([[f(x) for x in row] for row in pts.tolist()], dtype=np.float64)
+
+    x, fx, iters, converged = _simplex(probe, [float(x0)], params)
+    return x.item(), fx.item(), int(iters[0]), bool(converged[0])
 
 
-def _refine_integer(j: np.ndarray, t_star: float) -> int:
-    """Round, scan a +-3 window of the knot table j (smallest-t ties), then
-    hill-climb to a strict integer local maximum."""
-    t0 = int(np.floor(min(max(t_star, 0.0), 255.0) + 0.5))
-    lo, hi = max(0, t0 - 3), min(255, t0 + 3)
-    t = lo + int(np.argmax(j[lo : hi + 1]))  # first max = smallest tie
-    while True:
-        if t < 255 and j[t + 1] > j[t]:
-            t += 1
-        elif t > 0 and j[t - 1] > j[t]:
-            t -= 1
-        else:
-            return t
+def _refine(tab: _Tables, x_star: np.ndarray, w_var, w_ent):
+    """Round each row's optimum, take the first (smallest-t) max of J over
+    a +-3 knot window, then hill-climb to a strict integer local maximum.
+    The weights are (rows, 1) columns. Returns (thresholds, J there)."""
+    rows = np.arange(len(x_star))
+    t0 = np.floor(np.clip(x_star, 0.0, 255.0) + 0.5).astype(np.int64)
+    window = t0[:, None] + np.arange(-3, 4)
+    j = tab.at_knots(rows[:, None], window, w_var, w_ent)
+    pick = np.argmax(j, axis=1)
+    t, jt = window[rows, pick], j[rows, pick]
+    # the first max beats every knot before it and ties or beats every knot
+    # after it, so only a window end can move, and only outward
+    idx = np.flatnonzero((pick == 0) | (pick == 6))
+    step = np.where(pick[idx] == 6, 1, -1)
+    while idx.size:
+        r = idx[:, None]
+        nb = tab.at_knots(r, (t[idx] + step)[:, None], w_var[idx], w_ent[idx])[:, 0]
+        up = nb > jt[idx]
+        idx, step, nb = idx[up], step[up], nb[up]
+        t[idx] += step
+        jt[idx] = nb
+    return t, jt
 
 
 def _optimize_rows(hists, complexities, weights: ObjectiveWeights, params: SimplexParams) -> list:
     """One LeafThreshold per histogram of the sequence `hists`.
 
-    The tables and knot tables are built for `_BLOCK_ROWS` rows at a time;
-    the simplex (in plain floats) and the refinement run per row.
+    Up to `_BLOCK_ROWS` rows at a time share one table pass, one lockstep
+    simplex and one lockstep refinement.
     """
     out = []
     for lo in range(0, len(hists), _BLOCK_ROWS):
         tab = _Tables(hists[lo : lo + _BLOCK_ROWS])
         eff = [weights.effective(c) for c in complexities[lo : lo + _BLOCK_ROWS]]
-        cols = np.array(eff)
-        j = tab.knots(cols[:, :1], cols[:, 1:])
-        for i, ((wv, we), mean) in enumerate(zip(eff, tab.mean.tolist())):
-            x_star, _, iters, converged = nelder_mead_1d(tab.prober(i, wv, we), mean, params)
-            t = _refine_integer(j[i], x_star)
+        wv, we = np.array(eff).T[:, :, None]
+        x_star, _, iters, converged = _simplex(
+            lambda rows, pts: tab.probe(rows, pts, wv[rows[:, 0]], we[rows[:, 0]]),
+            tab.mean,
+            params,
+        )
+        t, jt = _refine(tab, x_star, wv, we)
+        found = zip(t.tolist(), x_star.tolist(), jt.tolist(), iters.tolist(), converged.tolist())
+        for (w_var, w_ent), (ti, xi, ji, ni, ci) in zip(eff, found):
             out.append(
                 LeafThreshold(
-                    threshold=t,
-                    continuous_optimum=float(x_star),
-                    objective_value=float(j[i, t]),
-                    w_var=wv,
-                    w_ent=we,
-                    iterations=iters,
-                    converged=converged,
+                    threshold=ti,
+                    continuous_optimum=xi,
+                    objective_value=ji,
+                    w_var=w_var,
+                    w_ent=w_ent,
+                    iterations=ni,
+                    converged=ci,
                 )
             )
     return out

@@ -384,6 +384,13 @@ def test_import_does_not_load_scipy():
         ("gda-train", "--discriminants", 0),
         ("gda-train", "--gamma", "inf"),
         ("gda-train", "--coef", "nan"),
+        # values argparse itself rejects
+        ("segment", "--max-depth", "abc"),
+        ("segment", "--max-depth", "1e3"),
+        ("gda-train", "--gamma", "x"),
+        ("gda-train", "--kernel", "cubic"),
+        (None, None, None),  # no subcommand
+        ("segment", "--mask-out", None),  # a required flag left out
     ],
 )
 def test_cli_out_of_range_flag_reports_category(tmp_path, capsys, flags):
@@ -392,12 +399,30 @@ def test_cli_out_of_range_flag_reports_category(tmp_path, capsys, flags):
         img_path, _ = quadrant_pgm(tmp_path)
         args = ["segment", img_path, "--mask-out", tmp_path / "m.pgm",
                 "--report-out", tmp_path / "r.json"]
-    else:
+    elif command == "gda-train":
         csv_path, _ = blob_csv(tmp_path)
         args = ["gda-train", csv_path, "--model-out", tmp_path / "m.json"]
-    assert run(args + [flag, value]) == 1
-    err = capsys.readouterr().err.splitlines()
+    else:
+        args = []
+    if value is not None:
+        args += [flag, value]
+    elif flag is not None:  # drop the flag and its value
+        i = args.index(flag)
+        args = args[:i] + args[i + 2 :]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: InvalidArgument:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [["--help"], ["segment", "--help"]])
+def test_cli_help_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert "usage: stratseg" in captured.out and captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["gda-eval", "gda-project"])

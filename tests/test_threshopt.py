@@ -24,7 +24,13 @@ from stratseg.errors import EmptyHistogram, ReportTreeMismatch
 from stratseg.stratify import stats_from_histogram
 from stratseg.threshopt import _BLOCK_ROWS, _optimize_rows, _Tables
 
-from objective_reference import ReferenceTables
+from objective_reference import (
+    ReferenceTables,
+    probe_terms,
+    reference_nelder_mead,
+    reference_optimize_leaf,
+    reference_probe,
+)
 
 
 def discrete_objective(hist, t, w_var, w_ent):
@@ -162,17 +168,26 @@ EDGE_HISTOGRAMS = [
 ]
 
 
+def zoo_cases():
+    """The criterion-1 and seed-34 pairs, then each edge histogram at three
+    complexities."""
+    cases = list(criterion_1_histograms()) + list(seed_34_histograms())
+    return cases + [(h, c) for h in EDGE_HISTOGRAMS for c in (0.0, 0.5, 1.0)]
+
+
 def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 def test_probe_is_bit_identical_to_0d_reference():
+    """The plain-float reference probe and the library's array probe both
+    give the bits of the numpy 0-d evaluation."""
     rng = np.random.default_rng(39)
-    cases = list(criterion_1_histograms()) + list(seed_34_histograms())
-    cases += [(h, c) for h in EDGE_HISTOGRAMS for c in (0.0, 0.5, 1.0)]
+    cases = zoo_cases()
     for i, (hist, complexity) in enumerate(cases):
         wv, we = ObjectiveWeights().effective(complexity)
-        ref, probe = ReferenceTables(hist), _Tables(hist).prober(0, wv, we)
+        ref = ReferenceTables(hist)
+        probe = reference_probe(ref, wv, we)
         if i >= 2500:  # edge histograms: a grid across both clamps
             ts = np.arange(-2.5, 258.0, 1.25).tolist()
         else:
@@ -180,11 +195,48 @@ def test_probe_is_bit_identical_to_0d_reference():
             ts += [rng.uniform(0.0, 255.0), float(rng.integers(0, 256))]
         for t in ts:
             assert bits(probe(t)) == bits(ref.evaluate(t, wv, we)), (t, hist)
+        lockstep = _Tables(hist).probe(np.zeros((1, 1), np.int64), np.array([ts]), wv, we)[0]
+        assert np.array_equal(bits(lockstep), bits([probe(t) for t in ts])), hist
+
+
+def zoo_probe_terms():
+    """(mu0 - mu1, om0, om1) of the probes on the criterion-1, seed-34 and
+    edge histograms: at every point the scalar simplex visits, and at 32
+    random points per histogram."""
+    rng = np.random.default_rng(43)
+    cases = zoo_cases()
+    ts = []
+    for hist, complexity in cases:
+        ref = ReferenceTables(hist)
+        probe = reference_probe(ref, *ObjectiveWeights().effective(complexity))
+        points = rng.uniform(-1.0, 256.0, size=32).tolist()
+        reference_nelder_mead(lambda t: points.append(t) or probe(t), ref.mean)
+        ts += [probe_terms(ref, t)[:3] for t in points]
+    return [list(column) for column in zip(*ts)]
+
+
+def test_array_ufuncs_match_the_scalar_probe():
+    """The lockstep probe squares with np.float_power and logs with array
+    np.log; both must give the bits of the scalar probe's `d ** 2` and
+    scalar np.log on the values the probes meet."""
+    d, om0, om1 = zoo_probe_terms()
+    assert len(d) > 100_000
+    assert np.array_equal(
+        bits(np.float_power(np.array(d), 2.0)), bits([x**2 for x in d])
+    ), "np.float_power(d, 2.0) differs from Python d ** 2 (C pow)"
+    logs = np.array([x for x in om0 + om1 if x > 0])
+    scalar = bits([float(np.log(x)) for x in logs.tolist()])
+    assert np.array_equal(bits(np.log(logs)), scalar), "array np.log differs from scalar np.log"
+    head = logs[:4096]
+    for size in (1, 2, 3, 7, 8, 9, 15, 16, 17):  # SIMD bodies and remainders
+        chunked = np.concatenate([np.log(head[i : i + size]) for i in range(0, len(head), size)])
+        assert np.array_equal(bits(chunked), scalar[: len(head)]), (
+            f"array np.log on {size}-element arrays differs from scalar np.log"
+        )
 
 
 def test_knot_table_is_bit_identical_to_array_evaluation():
-    cases = list(criterion_1_histograms()) + list(seed_34_histograms())
-    cases += [(h, c) for h in EDGE_HISTOGRAMS for c in (0.0, 0.5, 1.0)]
+    cases = zoo_cases()
     knots = np.arange(256.0)
     for hist, complexity in cases:
         wv, we = ObjectiveWeights().effective(complexity)
@@ -217,23 +269,66 @@ def _row(kind, rng):
 ROW_KINDS = ["mass at 0", "mass at 255", "single level", "bimodal", "sparse", "noise"]
 
 
-@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5])
+def assert_same_leaf(got, ref):
+    """Every LeafThreshold field equal, floats bit for bit, with the same
+    Python types."""
+    assert got == ref
+    for name in ("threshold", "continuous_optimum", "objective_value", "iterations", "converged"):
+        assert type(getattr(got, name)) is type(getattr(ref, name)), name
+    assert bits(got.continuous_optimum) == bits(ref.continuous_optimum)
+    assert bits(got.objective_value) == bits(ref.objective_value)
+    assert (bits(got.w_var), bits(got.w_ent)) == (bits(ref.w_var), bits(ref.w_ent))
+
+
+# row counts inside one block, and across the block edges
+BATCH_ROWS = sorted(
+    {1, 31, 32, 33, 69, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5}
+)
+
+
+@pytest.mark.parametrize("rows", BATCH_ROWS)
 @settings(max_examples=12)
 @given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1))
 def test_batched_rows_match_optimize_leaf_alone(rows, seed, kinds):
     """Every row's LeafThreshold from one batched call is bit-identical to
-    optimize_leaf on that histogram alone, whatever else is in its block."""
+    the scalar per-leaf optimizer on that histogram alone, whatever else is
+    in its block."""
     rng = np.random.default_rng(seed)
     cases = [_row(kinds[i % len(kinds)], rng) for i in range(rows)]
     hists = np.stack([h for h, _ in cases])
     batched = _optimize_rows(hists, [c for _, c in cases], ObjectiveWeights(), SimplexParams())
     assert len(batched) == rows
     for (hist, complexity), got in zip(cases, batched):
-        alone = optimize_leaf(hist, complexity)
-        assert got == alone
-        assert bits(got.continuous_optimum) == bits(alone.continuous_optimum)
-        assert bits(got.objective_value) == bits(alone.objective_value)
-        assert (bits(got.w_var), bits(got.w_ent)) == (bits(alone.w_var), bits(alone.w_ent))
+        assert_same_leaf(got, reference_optimize_leaf(hist, complexity))
+
+
+ENT_ONLY = ObjectiveWeights(w_var=0.0, w_ent=1.0, adaptive=False)
+PARAM_VARIANTS = [
+    SimplexParams(),
+    SimplexParams(max_iter=3),
+    SimplexParams(diameter_tol=1e-9),
+    SimplexParams(max_iter=1, diameter_tol=100.0),
+]
+
+
+@pytest.fixture(scope="module")
+def reference_zoo():
+    """The criterion-1, seed-34 and edge histograms with their reference tables."""
+    return [(h, c, ReferenceTables(h)) for h, c in zoo_cases()]
+
+
+@pytest.mark.parametrize(
+    "weights", [ObjectiveWeights(), VAR_ONLY, ENT_ONLY], ids=["default", "var", "ent"]
+)
+@pytest.mark.parametrize("params", PARAM_VARIANTS, ids=["default", "iter3", "tol1e-9", "no-iter"])
+def test_optimize_rows_matches_scalar_reference(reference_zoo, weights, params):
+    """The lockstep simplex and refinement give every field of the scalar
+    per-leaf optimizer, bit for bit, while rows retire at mixed iterations."""
+    hists, complexities, _ = zip(*reference_zoo)
+    got = _optimize_rows(hists, complexities, weights, params)
+    for (hist, complexity, tables), leaf in zip(reference_zoo, got):
+        assert_same_leaf(leaf, reference_optimize_leaf(hist, complexity, weights, params, tables))
+    assert len({leaf.iterations for leaf in got}) > 1 or params.max_iter <= 3
 
 
 def test_scalar_objective_is_probe():
@@ -448,6 +543,17 @@ def test_threshold_tree_empty_source_histogram_raises():
         threshold_tree(img, emptied)
     with pytest.raises(EmptyHistogram):
         optimize_leaf(np.zeros(256, dtype=np.int64), 0.5)
+
+
+def test_float_histograms_are_not_written():
+    hist = bimodal_hist(np.random.default_rng(44)).astype(np.float64)
+    stack = np.stack([hist, hist[::-1]])
+    kept = hist.copy(), stack.copy()
+    objective(hist, 100.5)
+    optimize_leaf(hist, 0.5)
+    oracle_best_threshold(hist)
+    _optimize_rows(stack, [0.5, 0.5], ObjectiveWeights(), SimplexParams())
+    assert np.array_equal(hist, kept[0]) and np.array_equal(stack, kept[1])
 
 
 def test_threshold_tree_deterministic():
