@@ -79,19 +79,9 @@ def cmd_segment(args) -> int:
         "policy": asdict(policy),
         "weights": asdict(weights),
         "simplex": asdict(params),
-        "tree": stratify.node_to_dict(tree.root),
+        "tree": stratify.node_to_dict(tree),
         "leaves": [
-            {
-                "rect": _rect_dict(e.rect),
-                "threshold": e.threshold,
-                "continuous_optimum": e.continuous_optimum,
-                "objective_value": e.objective_value,
-                "w_var": e.w_var,
-                "w_ent": e.w_ent,
-                "iterations": e.iterations,
-                "converged": e.converged,
-                "source_rect": _rect_dict(e.source_rect),
-            }
+            {**vars(e), "rect": _rect_dict(e.rect), "source_rect": _rect_dict(e.source_rect)}
             for e in report.entries
         ],
     }

@@ -7,6 +7,7 @@ emits binary P5 with newline separators so golden files are byte-exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,27 +100,27 @@ class Rect:
         return self.w * self.h
 
 
-def _tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments.
+_TOKEN = re.compile(rb"#[^\n]*|([^ \t\r\n#]+)")
 
-    Also yields the byte offset just past each token so the P5 raster start
-    (one whitespace byte after maxval) can be located.
-    """
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-        elif c == b"#":
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-        else:
-            j = i
-            while j < n and data[j : j + 1] not in b" \t\r\n#":
-                j += 1
-            yield data[i:j], j
-            i = j
+
+def _tokens(data: bytes):
+    """Yield the header tokens, split at whitespace and at '#' comments that
+    run to the end of their line, and the byte offset just past each, so the
+    P5 raster start (one whitespace byte after maxval) can be located."""
+    for m in _TOKEN.finditer(data):
+        if m.group(1) is not None:
+            yield m.group(1), m.end()
+
+
+def _decimal(tok: bytes, what: str) -> int:
+    """A PGM number: a run of ASCII digits. `int()` alone also takes signs,
+    underscores and Unicode digits, and refuses runs longer than its limit."""
+    if tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    raise MalformedHeader(f"non-numeric {what} {tok[:20]!r}")
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -137,10 +138,7 @@ def load_pgm(data: bytes) -> GrayImage:
             header.append(next(gen))
         except StopIteration:
             raise MalformedHeader("incomplete header") from None
-    try:
-        width, height, maxval = (int(tok) for tok, _ in header)
-    except ValueError:
-        raise MalformedHeader("non-numeric header field") from None
+    width, height, maxval = (_decimal(tok, "header field") for tok, _ in header)
     if width < 1 or height < 1:
         raise MalformedHeader(f"non-positive dimensions {width}x{height}")
     if maxval > 255:
@@ -160,17 +158,10 @@ def load_pgm(data: bytes) -> GrayImage:
         if type(data) is bytes:  # immutable, so the raster is used in place
             return _adopt(arr)
     else:
-        values = []
-        for tok, _ in gen:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise MalformedHeader(f"non-numeric sample {tok!r}") from None
+        values = [_decimal(tok, "sample") for tok, _ in gen]
         if len(values) < npix:
             raise TruncatedData(f"expected {npix} samples, got {len(values)}")
         values = values[:npix]
-        if min(values) < 0:
-            raise MalformedHeader("negative sample")
         if max(values) > maxval:
             raise MalformedHeader("sample exceeds maxval")
         arr = np.array(values, dtype=np.uint8).reshape(height, width)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -507,12 +507,7 @@ def save_dataset_csv(data: LabeledDataset, header: bool = False) -> str:
 def save_model(model: GdaModel) -> str:
     """Serialize a model to deterministic JSON."""
     doc = {
-        "kernel": {
-            "kind": model.spec.kind,
-            "gamma": model.spec.gamma,
-            "degree": model.spec.degree,
-            "coef": model.spec.coef,
-        },
+        "kernel": asdict(model.spec),
         "eps": model.eps,
         "samples": model.samples.tolist(),
         "labels": model.labels.tolist(),

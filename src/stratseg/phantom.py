@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,26 +96,7 @@ class PhantomSpec:
         object.__setattr__(self, "shapes", tuple(self.shapes))
 
     def to_json(self) -> str:
-        doc = {
-            "width": self.width,
-            "height": self.height,
-            "background": self.background,
-            "shapes": [
-                {
-                    "kind": s.kind,
-                    "cx": s.cx,
-                    "cy": s.cy,
-                    "rx": s.rx,
-                    "ry": s.ry,
-                    "intensity": s.intensity,
-                }
-                for s in self.shapes
-            ],
-            "ramp_amplitude": self.ramp_amplitude,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "PhantomSpec":

@@ -5,27 +5,27 @@ the side) while its intensity variance exceeds the policy threshold, the
 depth cap is not reached, and all four children keep at least `min_side`
 pixels per side. Leaves tile the image exactly.
 
-Histograms come from one pass over the pixels. Split points are nested (a
-ceil-split refines its parent's), so the cuts of every possible node down to
-depth d = min(max_depth, 6) form one tile grid of at most 64 x 64 tiles, and
-each node at depth <= d is an exact union of tiles. `build_quadtree` bins the
-image once into the (rows, cols, 256) int64 tile histograms, in row bands
-that never straddle a tile row, and gives each such node the sum of its
-tiles; a node deeper than the grid bins its own pixels. Counts are integers,
-so every histogram, and every `RegionStats`, equals a direct count. Each node
-keeps its histogram in `RegionNode.hist`, which `threshold_tree` reads and
-`node_to_dict` leaves out.
+`build_quadtree` builds a linear quadtree (Gargantini, CACM 1982) one level
+at a time, over arrays. Split points are nested, so all nodes down to depth
+d = min(max_depth, 6) are unions of one grid of at most 64 x 64 tiles. The
+image is binned once into a summed-area table of the tile histograms: a
+level's histograms are four gathers from it, or below the grid one keyed
+binning pass per block of nodes. Counts are integers, so every histogram
+equals a direct count. Stats are taken per block (`_stats`), and a level's
+split decisions are one mask. The tree keeps only the histograms that
+`threshold_tree` reads (`_sources`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgument
-from .imgio import GrayImage, Rect, bin_rows, region_histogram
+from .imgio import _BAND_PIXELS, GrayImage, Rect, bin_rows
 
 __all__ = [
     "SplitPolicy",
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _GRID_DEPTH = 6  # tile grid of at most 64 x 64 tiles: 8 MiB of int64 counts
+_BLOCK_NODES = 1024  # nodes per histogram block: 2 MiB of int64 counts
+_LEVELS = np.arange(256, dtype=np.float64)
+_STAT_FIELDS = ("count", "mean", "variance", "entropy_bits")
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,33 @@ class RegionStats:
     entropy_bits: float
 
 
+def _stats(hists):
+    """(count, mean, variance, entropy bits) arrays of the rows of a (k, 256)
+    stack of histograms, with the bits of 1-D sums on one row: a row sum of a
+    C-contiguous block is pairwise like a 1-D sum, and each row's occupied
+    levels are summed packed with rows of as many, as zeros would change the
+    pairwise order."""
+    counts = np.array(hists, dtype=np.float64, ndmin=2)
+    n = counts.sum(axis=1)
+    dev = counts * _LEVELS  # reused in place: one (k, 256) temporary
+    mean = dev.sum(axis=1) / n
+    np.square(np.subtract(_LEVELS, mean[:, None], out=dev), out=dev)
+    dev *= counts
+    variance = dev.sum(axis=1) / n
+    occupied = counts > 0
+    m = occupied.sum(axis=1)
+    p = counts[occupied] / np.repeat(n, m)
+    terms = p * np.log2(p)  # row after row, each row's occupied levels
+    start = np.cumsum(m) - m
+    entropy = np.empty(len(n))
+    for mi in np.unique(m).tolist():
+        rows = np.flatnonzero(m == mi)
+        entropy[rows] = -terms[start[rows, None] + np.arange(mi)].sum(axis=1)
+    return n, mean, variance, entropy
+
+
 def stats_from_histogram(hist: np.ndarray) -> RegionStats:
-    counts = np.asarray(hist, dtype=np.float64)
-    n = counts.sum()
-    levels = np.arange(256, dtype=np.float64)
-    mean = float((counts * levels).sum() / n)
-    variance = float((counts * (levels - mean) ** 2).sum() / n)
-    p = counts[counts > 0] / n
-    entropy = float(-(p * np.log2(p)).sum())
+    n, mean, variance, entropy = (v.item() for v in _stats(hist))
     return RegionStats(int(n), mean, variance, entropy)
 
 
@@ -82,43 +104,60 @@ class RegionNode:
     depth: int
     stats: RegionStats
     children: tuple = ()  # empty for a leaf, else exactly 4 RegionNodes
-    # 256-bin int64 histogram of the rect, as `region_histogram` counts it
-    hist: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadTree:
-    root: RegionNode
+    """A quadtree as arrays over its nodes in level order (the children of
+    each split node are four consecutive nodes, NW, NE, SW, SE); `root` is a
+    RegionNode view, built on first use."""
+
     image_dims: tuple  # (width, height)
-    policy: SplitPolicy = field(default_factory=SplitPolicy)
+    policy: SplitPolicy
+    rects: np.ndarray = field(repr=False)  # (nodes, 4) int64: x0, y0, w, h
+    depth: np.ndarray = field(repr=False)
+    count: np.ndarray = field(repr=False)  # count to entropy_bits: the RegionStats fields
+    mean: np.ndarray = field(repr=False)
+    variance: np.ndarray = field(repr=False)
+    entropy_bits: np.ndarray = field(repr=False)
+    first_child: np.ndarray = field(repr=False)  # index of the NW child; -1 for a leaf
+    # the nodes threshold_tree reads (see `_sources`), ascending, and their
+    # (len(sources), 256) int64 histograms, as `region_histogram` counts them
+    sources: np.ndarray = field(repr=False)
+    source_hists: np.ndarray = field(repr=False)
+
+    def _rows(self):
+        """(rect, depth, stats, first child) of each node, in plain lists."""
+        stats = zip(*(getattr(self, f).tolist() for f in _STAT_FIELDS))
+        return zip(self.rects.tolist(), self.depth.tolist(), stats, self.first_child.tolist())
+
+    @cached_property
+    def root(self) -> RegionNode:
+        """The tree as RegionNodes, built from the bottom level up."""
+        nodes = [None] * len(self.depth)
+        for i, (rect, depth, stats, fc) in reversed(list(enumerate(self._rows()))):
+            children = () if fc < 0 else tuple(nodes[fc : fc + 4])
+            nodes[i] = RegionNode(Rect(*rect), depth, RegionStats(*stats), children)
+        return nodes[0]
 
 
-def _child_rects(r: Rect):
-    """NW, NE, SW, SE quadrants; NW gets the ceiling half of odd sides."""
-    w1 = math.ceil(r.w / 2)
-    h1 = math.ceil(r.h / 2)
-    w2, h2 = r.w - w1, r.h - h1
-    return (
-        Rect(r.x0, r.y0, w1, h1),
-        Rect(r.x0 + w1, r.y0, w2, h1),
-        Rect(r.x0, r.y0 + h1, w1, h2),
-        Rect(r.x0 + w1, r.y0 + h1, w2, h2),
-    )
-
-
-def _may_split(r: Rect, policy: SplitPolicy) -> bool:
-    w1 = math.ceil(r.w / 2)
-    h1 = math.ceil(r.h / 2)
-    return min(w1, r.w - w1) >= policy.min_side and min(h1, r.h - h1) >= policy.min_side
+def _children(rects: np.ndarray) -> np.ndarray:
+    """(4k, 4) NW, NE, SW, SE quadrants of each of k rects; NW gets the
+    ceiling half of odd sides."""
+    x0, y0, w, h = rects.T
+    w1, h1 = (w + 1) // 2, (h + 1) // 2
+    quads = [(x0, y0, w1, h1), (x0 + w1, y0, w - w1, h1)]
+    quads += [(x0, y0 + h1, w1, h - h1), (x0 + w1, y0 + h1, w - w1, h - h1)]
+    return np.stack([np.stack(q, axis=1) for q in quads], axis=1).reshape(-1, 4)
 
 
 def _cuts(n: int, depth: int) -> list:
     """Sorted distinct split positions, ends included, of [0, n) after
-    `depth` rounds of the `_child_rects` ceil-halving."""
+    `depth` rounds of the `_children` ceil-halving."""
     cuts = [0, n]
     for _ in range(depth):
         mids = [a + math.ceil((b - a) / 2) for a, b in zip(cuts, cuts[1:])]
@@ -126,57 +165,110 @@ def _cuts(n: int, depth: int) -> list:
     return cuts
 
 
-class _TileGrid:
-    """Histograms of the tiles cut by `depth` rounds of ceil-halving.
+def _bin_rects(pixels: np.ndarray, rects: np.ndarray, out: np.ndarray):
+    """Write the histograms of k rects into (k, 256) `out`: b rects of one shape
+    are the columns of one (h * w, b) array, binned in one keyed pass."""
+    flat, width = pixels.reshape(-1), pixels.shape[1]
+    x0, y0, w, h = rects.T
+    for sw, sh in set(zip(w.tolist(), h.tolist())):
+        same = np.flatnonzero((w == sw) & (h == sh))
+        offsets = (np.arange(sh)[:, None] * width + np.arange(sw)).reshape(-1, 1)
+        step = max(1, min(_BLOCK_NODES, _BAND_PIXELS // (sw * sh)))
+        for lo in range(0, len(same), step):
+            sel = same[lo : lo + step]
+            block = flat[offsets + (y0[sel] * width + x0[sel])]
+            out[sel] = bin_rows(block, np.arange(len(sel)) << 8, len(sel) * 256).reshape(-1, 256)
 
-    Every node down to `depth` is a union of tiles, and its histogram is the
-    sum of theirs; a deeper node bins its own pixels.
-    """
+
+class _TileGrid:
+    """Summed-area table of the histograms of the tiles cut by `depth`
+    rounds of ceil-halving; every node down to `depth` is a union of tiles."""
 
     def __init__(self, img: GrayImage, depth: int):
-        self.img, self.depth = img, depth
-        self.xs, self.ys = _cuts(img.width, depth), _cuts(img.height, depth)
-        ntx = len(self.xs) - 1
+        self.pixels, self.depth = img.pixels, depth
+        xs, ys = _cuts(img.width, depth), _cuts(img.height, depth)
+        self.xs, self.ys = np.array(xs), np.array(ys)
+        ntx = len(xs) - 1
         # a pixel's bin is its level plus 256 times its tile column; each
         # tile row is binned on its own, so no band straddles two
-        col_key = np.repeat(np.arange(ntx) << 8, np.diff(self.xs))
-        self.tiles = np.stack(
-            [
-                bin_rows(img.pixels[y0:y1], col_key, ntx * 256).reshape(ntx, 256)
-                for y0, y1 in zip(self.ys, self.ys[1:])
-            ]
-        )
+        col_key = np.repeat(np.arange(ntx) << 8, np.diff(xs))
+        # sat[j, i] counts the tiles above row cut j and left of column cut i
+        self.sat = sat = np.zeros((len(ys), ntx + 1, 256), np.int64)
+        for j, (y0, y1) in enumerate(zip(ys, ys[1:])):
+            sat[j + 1, 1:] = bin_rows(img.pixels[y0:y1], col_key, ntx * 256).reshape(ntx, 256)
+        np.cumsum(sat, axis=0, out=sat)
+        np.cumsum(sat, axis=1, out=sat)
 
-    def histogram(self, rect: Rect, depth: int) -> np.ndarray:
-        if depth > self.depth:
-            return region_histogram(self.img, rect)
-        xs, ys = self.xs, self.ys
-        tx, ty = xs.index(rect.x0), ys.index(rect.y0)
-        tx1, ty1 = xs.index(rect.x0 + rect.w), ys.index(rect.y0 + rect.h)
-        return self.tiles[ty:ty1, tx:tx1].sum(axis=(0, 1))
+    def histograms(self, rects: np.ndarray, depth: np.ndarray) -> np.ndarray:
+        """(k, 256) int64 histograms of k rects at ascending depths: four
+        gathers for the rects on the grid, keyed binning below it."""
+        out = np.empty((len(rects), 256), np.int64)
+        on = np.searchsorted(depth, self.depth, side="right")
+        x0, y0, w, h = rects[:on].T
+        i0, i1 = np.searchsorted(self.xs, x0), np.searchsorted(self.xs, x0 + w)
+        j0, j1 = np.searchsorted(self.ys, y0), np.searchsorted(self.ys, y0 + h)
+        out[:on] = self.sat[j1, i1] - self.sat[j0, i1] - self.sat[j1, i0] + self.sat[j0, i0]
+        _bin_rects(self.pixels, rects[on:], out[on:])
+        return out
 
 
-def _build(grid: _TileGrid, rect: Rect, depth: int, policy: SplitPolicy) -> RegionNode:
-    hist = grid.histogram(rect, depth)
-    stats = stats_from_histogram(hist)
-    children = ()
-    if (
-        stats.variance > policy.var_threshold
-        and depth < policy.max_depth
-        and _may_split(rect, policy)
-    ):
-        children = tuple(_build(grid, cr, depth + 1, policy) for cr in _child_rects(rect))
-    return RegionNode(rect, depth, stats, children, hist)
+def _sources(first_child, variance, var_threshold) -> np.ndarray:
+    """For each leaf, the node whose histogram its threshold is optimized on;
+    -1 for a split node. Homogeneous leaves (variance at or below the split
+    threshold) inherit from their parent: the quadtree gives every subdomain
+    a coarser level whose statistics still resolve the foreground/background
+    mixture. Heterogeneous leaves (stopped by the depth or size caps), and a
+    root leaf, use their own histogram."""
+    leaf = first_child < 0
+    source = np.where(leaf, np.arange(len(leaf)), -1)
+    parent = np.repeat(np.flatnonzero(~leaf), 4)  # of nodes 1, 2, ... (level order)
+    inherit = leaf[1:] & (variance[1:] <= var_threshold)
+    source[1:][inherit] = parent[inherit]
+    return source
 
 
 def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadTree:
-    """Recursively subdivide `img` under `policy`.
+    """Subdivide `img` under `policy`, one level at a time.
 
     An image smaller than `min_side` simply yields a single-leaf tree.
     """
     grid = _TileGrid(img, min(policy.max_depth, _GRID_DEPTH))
-    root = _build(grid, Rect(0, 0, img.width, img.height), 0, policy)
-    return QuadTree(root, (img.width, img.height), policy)
+    levels, stats, splits = [np.array([[0, 0, img.width, img.height]], np.int64)], [], []
+    for depth in range(policy.max_depth + 1):
+        level = levels[-1]
+        blocks = [level[lo : lo + _BLOCK_NODES] for lo in range(0, len(level), _BLOCK_NODES)]
+        st = np.hstack([_stats(grid.histograms(b, np.full(len(b), depth))) for b in blocks])
+        fits = (level[:, 2:].min(axis=1) // 2 >= policy.min_side) & (depth < policy.max_depth)
+        split = fits & (st[2] > policy.var_threshold)
+        stats.append(st)
+        splits.append(split)
+        if not split.any():
+            break
+        levels.append(_children(level[split]))
+    split = np.concatenate(splits)
+    # level order: the children of the j-th split node are nodes 1 + 4j ...
+    first_child = np.full(len(split), -1)
+    first_child[split] = 1 + 4 * np.arange(np.count_nonzero(split))
+    rects = np.concatenate(levels)
+    depth = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+    count, mean, variance, entropy = np.concatenate(stats, axis=1)
+    source = _sources(first_child, variance, policy.var_threshold)
+    sources = np.unique(source[source >= 0])  # in level order, so by depth
+    kept = grid.histograms(rects[sources], depth[sources])
+    dims, stats = (img.width, img.height), (count.astype(np.int64), mean, variance, entropy)
+    return QuadTree(dims, policy, rects, depth, *stats, first_child, sources, kept)
+
+
+def leaf_order(tree: QuadTree) -> list:
+    """Indices of the leaves in depth-first NW, NE, SW, SE order."""
+    first_child, order, stack = tree.first_child.tolist(), [], [0]
+    while stack:
+        i = stack.pop()
+        if first_child[i] < 0:
+            order.append(i)
+        else:
+            stack.extend(range(first_child[i] + 3, first_child[i] - 1, -1))
+    return order
 
 
 def leaves(tree: QuadTree) -> list:
@@ -198,18 +290,13 @@ def region_complexity(node: RegionNode) -> float:
     return node.stats.entropy_bits / 8.0
 
 
-def node_to_dict(node: RegionNode) -> dict:
-    """Nested plain-dict form used by the CLI's structured-text report."""
-    d = {
-        "rect": {"x0": node.rect.x0, "y0": node.rect.y0, "w": node.rect.w, "h": node.rect.h},
-        "depth": node.depth,
-        "stats": {
-            "count": node.stats.count,
-            "mean": node.stats.mean,
-            "variance": node.stats.variance,
-            "entropy_bits": node.stats.entropy_bits,
-        },
-    }
-    if node.children:
-        d["children"] = [node_to_dict(c) for c in node.children]
-    return d
+def node_to_dict(tree: QuadTree) -> dict:
+    """Nested plain-dict form of the tree, used by the CLI's structured-text report."""
+    docs = []
+    for (x0, y0, w, h), depth, stats, _ in tree._rows():
+        rect = {"x0": x0, "y0": y0, "w": w, "h": h}
+        docs.append({"rect": rect, "depth": depth, "stats": dict(zip(_STAT_FIELDS, stats))})
+    for doc, fc in zip(docs, tree.first_child.tolist()):
+        if fc >= 0:
+            doc["children"] = docs[fc : fc + 4]
+    return docs[0]

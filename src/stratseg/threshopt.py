@@ -32,14 +32,14 @@ knot at a time while a row still climbs; at a knot the interpolation adds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch
 from .imgio import GrayImage, Rect, _adopt
-from .stratify import QuadTree, RegionNode, leaves, region_complexity
+from .stratify import QuadTree, _sources, leaf_order
 
 __all__ = [
     "ObjectiveWeights",
@@ -341,17 +341,7 @@ def _optimize_rows(hists, complexities, weights: ObjectiveWeights, params: Simpl
         t, jt = _refine(tab, x_star, wv, we)
         found = zip(t.tolist(), x_star.tolist(), jt.tolist(), iters.tolist(), converged.tolist())
         for (w_var, w_ent), (ti, xi, ji, ni, ci) in zip(eff, found):
-            out.append(
-                LeafThreshold(
-                    threshold=ti,
-                    continuous_optimum=xi,
-                    objective_value=ji,
-                    w_var=w_var,
-                    w_ent=w_ent,
-                    iterations=ni,
-                    converged=ci,
-                )
-            )
+            out.append(LeafThreshold(ti, xi, ji, w_var, w_ent, ni, ci))
     return out
 
 
@@ -380,32 +370,6 @@ def oracle_best_threshold(
     return t, float(j[t])
 
 
-def _leaf_sources(tree: QuadTree):
-    """Pair each leaf with the node whose histogram its threshold comes from.
-
-    Homogeneous leaves (variance at or below the split threshold) inherit
-    from their nearest split ancestor, i.e. the parent: the quadtree gives
-    every subdomain a coarser level whose statistics still resolve the
-    foreground/background mixture. Heterogeneous leaves (stopped by the
-    depth or size caps) use their own histogram.
-    """
-    thresh = tree.policy.var_threshold
-    out = []
-
-    def visit(node: RegionNode, ancestor):
-        if node.is_leaf:
-            if node.stats.variance > thresh or ancestor is None:
-                out.append((node, node))
-            else:
-                out.append((node, ancestor))
-        else:
-            for child in node.children:
-                visit(child, node)
-
-    visit(tree.root, None)
-    return out
-
-
 def threshold_tree(
     img: GrayImage,
     tree: QuadTree,
@@ -415,43 +379,35 @@ def threshold_tree(
     """Optimize one threshold per leaf, in deterministic leaf order.
 
     `tree` is `build_quadtree(img, ...)`; each threshold is optimized on the
-    histogram its source node keeps, so no pixel is binned again here.
+    histogram the tree keeps for its source node, so no pixel is binned
+    again here.
     """
-    pairs = _leaf_sources(tree)
-    sources = list({id(source): source for _, source in pairs}.values())
-    found = _optimize_rows(
-        [source.hist for source in sources],
-        [region_complexity(source) for source in sources],
-        weights,
-        params,
-    )
-    by_source = {id(source): base for source, base in zip(sources, found)}
-    entries = [
-        replace(
-            by_source[id(source)],
-            rect=leaf.rect,
-            source_rect=None if source is leaf else source.rect,
-        )
-        for leaf, source in pairs
-    ]
+    leaf = leaf_order(tree)
+    source = _sources(tree.first_child, tree.variance, tree.policy.var_threshold)[leaf]
+    complexities = (tree.entropy_bits[tree.sources] / 8.0).tolist()
+    found = _optimize_rows(tree.source_hists, complexities, weights, params)
+    rects, entries = tree.rects.tolist(), []
+    for i, s, r in zip(leaf, source.tolist(), np.searchsorted(tree.sources, source).tolist()):
+        f = found[r]
+        fields = f.threshold, f.continuous_optimum, f.objective_value, f.w_var, f.w_ent
+        fields += f.iterations, f.converged, Rect(*rects[i]), None if s == i else Rect(*rects[s])
+        entries.append(LeafThreshold(*fields))
     return ThresholdReport(tuple(entries))
 
 
 def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImage:
     """Stitch the per-leaf binarizations into a full-size {0, 255} mask."""
-    leaf_list = leaves(tree)
-    if len(leaf_list) != len(report.entries):
-        raise ReportTreeMismatch(
-            f"{len(report.entries)} entries for {len(leaf_list)} leaves"
-        )
+    leaf = leaf_order(tree)
+    if len(leaf) != len(report.entries):
+        raise ReportTreeMismatch(f"{len(report.entries)} entries for {len(leaf)} leaves")
     mask = np.zeros((img.height, img.width), dtype=np.uint8)
     # foreground flags are written in place as 0/1 bytes, then scaled once
     flags = mask.view(bool)
-    for leaf, entry in zip(leaf_list, report.entries):
-        if entry.rect != leaf.rect:
-            raise ReportTreeMismatch(f"entry rect {entry.rect} != leaf rect {leaf.rect}")
-        r = leaf.rect
-        rows, cols = slice(r.y0, r.y0 + r.h), slice(r.x0, r.x0 + r.w)
+    for (x0, y0, w, h), entry in zip(tree.rects[leaf].tolist(), report.entries):
+        r = entry.rect
+        if r is None or (r.x0, r.y0, r.w, r.h) != (x0, y0, w, h):
+            raise ReportTreeMismatch(f"entry rect {r} != leaf rect {Rect(x0, y0, w, h)}")
+        rows, cols = slice(y0, y0 + h), slice(x0, x0 + w)
         np.greater(img.pixels[rows, cols], entry.threshold, out=flags[rows, cols])
     mask *= 255
     return _adopt(mask)

@@ -222,6 +222,20 @@ def test_cli_malformed_image_reports_category(tmp_path, capsys):
     assert "error: MalformedHeader:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"P5 1_0 1 +255\n" + bytes(10), b"P2 2 1 255 +1 0_0", b"P5 -2 2 255 " + bytes(4),
+     b"P5 2 1 +255\n" + bytes(2), b"P2 2 1 255 1 0_0"],
+)
+def test_cli_non_decimal_pgm_number_reports_category(tmp_path, capsys, data):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(data)
+    assert run(["segment", bad, "--mask-out", tmp_path / "m.pgm",
+                "--report-out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: MalformedHeader:")
+
+
 def test_cli_single_class_dataset_reports_category(tmp_path, capsys):
     csv_path = tmp_path / "one.csv"
     csv_path.write_text("0.0,1.0,2\n0.5,1.5,2\n1.0,2.0,2\n")

@@ -115,11 +115,26 @@ def test_save_of_load_is_a_fixed_point(data):
         (b"P2 1 1 100 200", MalformedHeader),  # sample exceeds maxval
         (b"P2\n2 2\n255\n-5 10 20 30\n", MalformedHeader),  # negative sample
         (b"P2 1 1 255 " + b"9" * 30, MalformedHeader),  # beyond int64
+        # header fields and samples are ASCII digit runs only
+        (b"P5 1_0 1 +255\n" + bytes(10), MalformedHeader),
+        (b"P2 2 1 255 +1 0_0", MalformedHeader),
+        (b"P5 2 1 +255\n" + bytes(2), MalformedHeader),
+        (b"P2 2 1 255 +1 0", MalformedHeader),
+        (b"P2 2 1 255 1 0_0", MalformedHeader),
+        (b"P5 \xd9\xa3 1 255 " + bytes(3), MalformedHeader),  # an Arabic-Indic digit
+        (b"P2 1 1 255 \x0c7", MalformedHeader),  # int() strips a form feed
     ],
 )
 def test_parse_errors(data, exc):
     with pytest.raises(exc):
         load_pgm(data)
+
+
+def test_digit_run_past_the_int_conversion_limit_is_malformed():
+    # int() refuses more than 4300 digits by default; without that limit
+    # the sample is read and exceeds maxval, also MalformedHeader
+    with pytest.raises(MalformedHeader):
+        load_pgm(b"P2 1 1 255 " + b"2" * 5000)
 
 
 def test_histogram_constant_region():

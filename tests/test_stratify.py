@@ -1,4 +1,5 @@
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from stratseg import (
     region_complexity,
     region_histogram,
 )
-from stratseg.stratify import iter_nodes, node_to_dict, stats_from_histogram
+from stratseg.imgio import Rect
+from stratseg.stratify import _stats, iter_nodes, leaf_order, node_to_dict, stats_from_histogram
+
+from quadtree_reference import (
+    reference_build,
+    reference_sources,
+    reference_stats,
+    reference_to_dict,
+)
 
 
 def quadrant_image():
@@ -139,15 +148,18 @@ policies = st.builds(
 @settings(max_examples=40)
 @given(img=images(), policy=policies)
 def test_leaves_tile_any_image_under_any_policy(img, policy):
-    """Leaves cover every pixel exactly once, and each leaf's histogram
-    holds one count per pixel of its rect."""
+    """Leaves cover every pixel exactly once, each leaf counts one pixel
+    per pixel of its rect, and so does each histogram the tree keeps."""
     tree = build_quadtree(img, policy)
     cover = np.zeros((img.height, img.width), dtype=np.int32)
     for leaf in leaves(tree):
         r = leaf.rect
         cover[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] += 1
-        assert int(leaf.hist.sum()) == r.area and leaf.hist.min() >= 0
+        assert leaf.stats.count == r.area
     assert np.all(cover == 1)
+    areas = tree.rects[tree.sources, 2] * tree.rects[tree.sources, 3]
+    assert np.array_equal(tree.source_hists.sum(axis=1), areas)
+    assert tree.source_hists.min(initial=0) >= 0
 
 
 def test_node_stats_match_direct_pixel_computation():
@@ -194,9 +206,20 @@ def disk_image(w, h):
 def test_node_histograms_equal_direct_counts(w, h, policy):
     img = GrayImage(np.random.default_rng(w * 7 + h).integers(0, 256, size=(h, w)))
     tree = build_quadtree(img, policy)
-    for node in iter_nodes(tree):
-        assert node.hist.dtype == np.int64
-        assert np.array_equal(node.hist, region_histogram(img, node.rect))
+    assert tree.source_hists.dtype == np.int64
+    assert_sources_equal_direct_counts(img, tree)
+
+
+def assert_sources_equal_direct_counts(img, tree):
+    """The tree keeps the histograms of exactly the nodes the recursive
+    builder's threshold sources were, each equal to a direct count."""
+    kept = {}
+    for i, hist in zip(tree.sources.tolist(), tree.source_hists):
+        rect = Rect(*tree.rects[i].tolist())
+        assert np.array_equal(hist, region_histogram(img, rect))
+        kept[rect] = hist
+    expect = reference_sources(reference_build(img, tree.policy), tree.policy.var_threshold)
+    assert kept.keys() == expect.keys()
 
 
 @pytest.mark.parametrize("max_depth", [8, 12])
@@ -205,8 +228,8 @@ def test_node_histograms_below_the_tile_grid_equal_direct_counts(max_depth):
     tree = build_quadtree(img, SplitPolicy(max_depth=max_depth, min_side=2, var_threshold=0.0))
     nodes = list(iter_nodes(tree))
     assert max(node.depth for node in nodes) == 8  # 520 rows: 3-row nodes at depth 8
-    for node in nodes:
-        assert np.array_equal(node.hist, region_histogram(img, node.rect))
+    assert tree.depth[tree.sources].max() == 8
+    assert_sources_equal_direct_counts(img, tree)
 
 
 def test_build_leaves_no_reference_cycles():
@@ -225,8 +248,9 @@ def test_build_leaves_no_reference_cycles():
 def test_node_histogram_stays_out_of_report_and_equality():
     img = quadrant_image()
     a = build_quadtree(img, SplitPolicy(min_side=8))
-    assert "hist" not in node_to_dict(a.root)
+    assert "hist" not in json.dumps(node_to_dict(a))
     assert "hist" not in repr(a.root)
+    assert "hist" not in repr(a)
     b = build_quadtree(img, SplitPolicy(min_side=8))
     assert a.root == b.root
 
@@ -295,7 +319,7 @@ def test_build_is_deterministic():
     t1 = build_quadtree(img, policy)
     t2 = build_quadtree(img, policy)
     assert _structure(t1.root) == _structure(t2.root)
-    assert node_to_dict(t1.root) == node_to_dict(t2.root)
+    assert node_to_dict(t1) == node_to_dict(t2)
 
 
 def test_policy_validation():
@@ -305,3 +329,88 @@ def test_policy_validation():
         SplitPolicy(min_side=1)
     with pytest.raises(ValueError):
         SplitPolicy(var_threshold=-1.0)
+
+
+def _hex_stats(stats):
+    return (stats.count, stats.mean.hex(), stats.variance.hex(), stats.entropy_bits.hex())
+
+
+@st.composite
+def reference_cases(draw):
+    """An image and a policy. The image is noise or blocky noise up to 64
+    on a side, a disk up to 600 whose edge nodes split below the tile grid,
+    or a single row or column up to 300; the policy has max_depth up to 12
+    and min_side from 2, and var_threshold is 0 in half the cases."""
+    kind = draw(st.sampled_from(["noise", "blocky", "disk", "line"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = {"noise": 64, "blocky": 64, "disk": 600, "line": 300}[kind]
+    w, h = (int(v) for v in rng.integers(1, side + 1, size=2))
+    if kind == "disk":
+        img = disk_image(w, h)
+    elif kind == "blocky":
+        small = rng.integers(0, 256, size=(h // 9 + 1, w // 9 + 1), dtype=np.uint8)
+        img = GrayImage(np.kron(small, np.ones((9, 9), dtype=np.uint8))[:h, :w])
+    else:
+        if kind == "line":
+            w, h = (w, 1) if rng.integers(2) else (1, h)
+        img = GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
+    policy = SplitPolicy(
+        max_depth=int(rng.integers(0, 13)),
+        min_side=int(rng.choice([2, 2, 3, 4, 8, 12])),
+        var_threshold=float(rng.choice([0.0, rng.uniform(0, 5000)])),
+    )
+    return img, policy
+
+
+@settings(max_examples=150)
+@given(case=reference_cases())
+def test_flat_tree_equals_recursive_reference(case):
+    """The level-order build gives the recursive builder's tree: the same
+    report JSON byte for byte, the same bits in every stats float, and the
+    same threshold sources with the same histograms."""
+    img, policy = case
+    tree = build_quadtree(img, policy)
+    ref = reference_build(img, policy)
+    assert json.dumps(node_to_dict(tree)) == json.dumps(reference_to_dict(ref))
+
+    def preorder(node):
+        yield node
+        for child in node.children:
+            yield from preorder(child)
+
+    assert [_hex_stats(n.stats) for n in iter_nodes(tree)] == [
+        _hex_stats(n.stats) for n in preorder(ref)
+    ]
+    assert [leaf.rect for leaf in leaves(tree)] == [n.rect for n in preorder(ref) if not n.children]
+    assert_sources_equal_direct_counts(img, tree)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_batched_stats_match_one_row_reductions(rows):
+    """Row reductions over a block give the bits of the 1-D reductions at
+    every pairwise-summation edge of the occupied-level count."""
+    rng = np.random.default_rng(26 + rows)
+    occupied = [1, 7, 8, 9, 16, 17, 127, 128, 129, 255, 256]
+    hists = np.zeros((len(occupied) * rows, 256), dtype=np.int64)
+    for i, m in enumerate(np.repeat(occupied, rows)):
+        top = [2, 100, 10**9][i % 3]
+        hists[i, rng.choice(256, m, replace=False)] = rng.integers(1, top, m)
+    hists = hists[rng.permutation(len(hists))]
+    got = np.array(_stats(hists)).T
+    for hist, (n, mean, variance, entropy) in zip(hists, got):
+        expect = reference_stats(hist)
+        assert _hex_stats(expect) == (int(n), mean.hex(), variance.hex(), entropy.hex())
+        assert _hex_stats(stats_from_histogram(hist)) == _hex_stats(expect)
+
+
+def test_leaf_order_is_depth_first():
+    img = disk_image(61, 47)
+    tree = build_quadtree(img, SplitPolicy(max_depth=5, min_side=2, var_threshold=0.0))
+    ref = reference_build(img, tree.policy)
+
+    def leaf_rects(node):
+        if not node.children:
+            return [node.rect]
+        return [r for child in node.children for r in leaf_rects(child)]
+
+    assert [Rect(*tree.rects[i].tolist()) for i in leaf_order(tree)] == leaf_rects(ref)

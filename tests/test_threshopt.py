@@ -21,7 +21,7 @@ from stratseg import (
 )
 from stratseg import imgio, stratify
 from stratseg.errors import EmptyHistogram, ReportTreeMismatch
-from stratseg.stratify import stats_from_histogram
+from stratseg.stratify import leaf_order, stats_from_histogram
 from stratseg.threshopt import _BLOCK_ROWS, _optimize_rows, _Tables
 
 from objective_reference import (
@@ -522,7 +522,7 @@ def test_threshold_tree_reads_node_histograms(monkeypatch):
         raise AssertionError("threshold_tree binned pixels")
 
     monkeypatch.setattr(imgio, "region_histogram", no_binning)
-    monkeypatch.setattr(stratify, "region_histogram", no_binning)
+    monkeypatch.setattr(stratify, "bin_rows", no_binning)
     monkeypatch.setattr(np, "bincount", no_binning)  # binning under any name
     assert threshold_tree(img, tree).entries == expect.entries
 
@@ -533,12 +533,11 @@ def test_threshold_tree_empty_source_histogram_raises():
     tree = build_quadtree(img, SplitPolicy(max_depth=3, min_side=4, var_threshold=200.0))
     assert len(threshold_tree(img, tree)) == 64  # each leaf is its own source
 
-    def zero_last_leaf(node):
-        if node.is_leaf:
-            return replace(node, hist=np.zeros_like(node.hist))
-        return replace(node, children=node.children[:-1] + (zero_last_leaf(node.children[-1]),))
-
-    emptied = replace(tree, root=zero_last_leaf(tree.root))
+    last = leaf_order(tree)[-1]
+    assert last in tree.sources
+    hists = tree.source_hists.copy()
+    hists[np.searchsorted(tree.sources, last)] = 0
+    emptied = replace(tree, source_hists=hists)
     with pytest.raises(EmptyHistogram):
         threshold_tree(img, emptied)
     with pytest.raises(EmptyHistogram):
