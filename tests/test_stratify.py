@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from stratseg import (
     GrayImage,
@@ -362,7 +362,8 @@ def reference_cases(draw):
     return img, policy
 
 
-@settings(max_examples=150)
+# each case comes from one drawn seed, so shrinking would only spend minutes
+@settings(max_examples=150, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(case=reference_cases())
 def test_flat_tree_equals_recursive_reference(case):
     """The level-order build gives the recursive builder's tree: the same
