@@ -71,8 +71,8 @@ class LabeledDataset:
     def __post_init__(self):
         x = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
         y = _int64_labels(self.labels)
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise InvalidDataset("samples must be a non-empty (M, n) array")
+        if x.ndim != 2 or 0 in x.shape:
+            raise InvalidDataset("samples must be a non-empty (M, n) array with n >= 1")
         if not np.all(np.isfinite(x)):
             raise InvalidDataset("samples must be finite (no NaN or inf)")
         if y.shape != (x.shape[0],):
@@ -539,22 +539,24 @@ def load_model(text: str) -> GdaModel:
         eps = float(doc["eps"])
         if samples.ndim != 2 or len(samples) != m or means.shape[1] != sig.shape[1]:
             raise InvalidModel("samples, labels, sigmas and class_means disagree in shape")
+        if samples.shape[1] == 0:
+            raise InvalidModel("samples must have at least one feature")
         for name, a in (("samples", samples), ("sigmas", sig), ("class_means", means),
                         ("etas", etas), ("eps", eps)):
             if not np.all(np.isfinite(a)):
                 raise InvalidModel(f"{name} must be finite (no NaN or inf)")
         return GdaModel(
             samples=samples,
-            labels=np.array(doc["labels"], dtype=np.int64),
+            labels=_int64_labels(doc["labels"]),
             spec=spec,
             sigmas=sig,
             etas=etas,
             eps=eps,
-            classes=np.array(doc["classes"], dtype=np.int64),
+            classes=_int64_labels(doc["classes"]),
             class_means=means,
             achieved_all=bool(doc["achieved_all"]),
         )
     except KeyError as exc:
         raise InvalidModel(f"missing field {exc}") from None
-    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (InvalidDataset, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise InvalidModel(str(exc)) from None

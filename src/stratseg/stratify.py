@@ -12,8 +12,12 @@ image is binned once into a summed-area table of the tile histograms: a
 level's histograms are four gathers from it, or below the grid one keyed
 binning pass per block of nodes. Counts are integers, so every histogram
 equals a direct count. Stats are taken per block (`_stats`), and a level's
-split decisions are one mask. The tree keeps only the histograms that
-`threshold_tree` reads (`_sources`).
+split decisions are one mask.
+
+The tree also decides its leaf plan once: which leaves there are, their
+depth-first order (sorted base-4 location codes) and the node whose
+histogram each leaf's threshold is optimized on (`_sources`). It keeps
+only those source histograms; `threshold_tree` and `segment` read the plan.
 """
 
 from __future__ import annotations
@@ -125,10 +129,12 @@ class QuadTree:
     variance: np.ndarray = field(repr=False)
     entropy_bits: np.ndarray = field(repr=False)
     first_child: np.ndarray = field(repr=False)  # index of the NW child; -1 for a leaf
+    leaves: np.ndarray = field(repr=False)  # leaf node indices, depth-first NW, NE, SW, SE
     # the nodes threshold_tree reads (see `_sources`), ascending, and their
     # (len(sources), 256) int64 histograms, as `region_histogram` counts them
     sources: np.ndarray = field(repr=False)
     source_hists: np.ndarray = field(repr=False)
+    leaf_source: np.ndarray = field(repr=False)  # each leaf's row of sources
 
     def _rows(self):
         """(rect, depth, stats, first child) of each node, in plain lists."""
@@ -234,6 +240,7 @@ def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadT
     """
     grid = _TileGrid(img, min(policy.max_depth, _GRID_DEPTH))
     levels, stats, splits = [np.array([[0, 0, img.width, img.height]], np.int64)], [], []
+    paths = [np.zeros(1, np.int64)]  # base-4 quadrant path from the root: NW 0 ... SE 3
     for depth in range(policy.max_depth + 1):
         level = levels[-1]
         blocks = [level[lo : lo + _BLOCK_NODES] for lo in range(0, len(level), _BLOCK_NODES)]
@@ -245,6 +252,7 @@ def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadT
         if not split.any():
             break
         levels.append(_children(level[split]))
+        paths.append((4 * paths[-1][split, None] + np.arange(4)).reshape(-1))
     split = np.concatenate(splits)
     # level order: the children of the j-th split node are nodes 1 + 4j ...
     first_child = np.full(len(split), -1)
@@ -252,23 +260,19 @@ def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadT
     rects = np.concatenate(levels)
     depth = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
     count, mean, variance, entropy = np.concatenate(stats, axis=1)
+    # a leaf's path, padded to the last depth, is where its span of the
+    # deepest level's codes starts; no leaf's path is a prefix of another's,
+    # so these codes sort the leaves depth first
+    leaf = np.flatnonzero(first_child < 0)
+    code = np.concatenate(paths)[leaf] << 2 * (len(levels) - 1 - depth[leaf])
+    leaf = leaf[np.argsort(code)]
     source = _sources(first_child, variance, policy.var_threshold)
-    sources = np.unique(source[source >= 0])  # in level order, so by depth
+    sources, leaf_source = np.unique(source[leaf], return_inverse=True)  # by depth
     kept = grid.histograms(rects[sources], depth[sources])
     dims, stats = (img.width, img.height), (count.astype(np.int64), mean, variance, entropy)
-    return QuadTree(dims, policy, rects, depth, *stats, first_child, sources, kept)
-
-
-def leaf_order(tree: QuadTree) -> list:
-    """Indices of the leaves in depth-first NW, NE, SW, SE order."""
-    first_child, order, stack = tree.first_child.tolist(), [], [0]
-    while stack:
-        i = stack.pop()
-        if first_child[i] < 0:
-            order.append(i)
-        else:
-            stack.extend(range(first_child[i] + 3, first_child[i] - 1, -1))
-    return order
+    return QuadTree(
+        dims, policy, rects, depth, *stats, first_child, leaf, sources, kept, leaf_source
+    )
 
 
 def leaves(tree: QuadTree) -> list:

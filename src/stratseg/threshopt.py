@@ -14,7 +14,8 @@ over the rows still active, with per-row masks for each row's branch, and a
 row retires when it is done (`_simplex`, `_refine`). Each row's numbers do
 not depend on the other rows. `threshold_tree` passes the histograms of all
 its source nodes; `optimize_leaf`, `objective` and `nelder_mead_1d` are the
-one-row case.
+one-row case. The tree decides which leaves there are, their order and
+each leaf's source row; `threshold_tree` only reads that plan.
 
 There is one formula for J (`_Tables._j`), over values gathered from the
 cumulative tables; it takes the square as an argument. Simplex probes
@@ -25,9 +26,9 @@ differ in the last bit. Logs are array `np.log`, which gives the bits of
 scalar `np.log` (`math.log` differs on a few inputs); a test pins both. The refinement reads J
 at the knots of a +-3 window around each row's rounded optimum, and then one
 knot at a time while a row still climbs; at a knot the interpolation adds
-0 * diff, and J squares with `d * d` there, as the 256-knot table
-(`_Tables.knots`) does. That full table backs only the exhaustive
-`oracle_best_threshold`, which backs every optimizer claim."""
+0 * diff, and J squares with `d * d` there (`_Tables.at_knots`). The
+exhaustive `oracle_best_threshold`, which backs every optimizer claim,
+reads all 256 knots the same way."""
 
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch
 from .imgio import GrayImage, Rect, _adopt
-from .stratify import QuadTree, _sources, leaf_order
+from .stratify import QuadTree
 
 __all__ = [
     "ObjectiveWeights",
@@ -186,10 +187,11 @@ class _Tables:
         e = np.clip((h0 + h1) / (2.0 * _LN256), 0.0, 1.0)
         return w_var * v + w_ent * e
 
-    def evaluate(self, i: int, t, w_var: float, w_ent: float) -> np.ndarray:
-        """J of row i on an array of t; t is clamped into [0, 255]."""
+    def evaluate(self, rows, t, w_var, w_ent) -> np.ndarray:
+        """J of `rows` (a row, or an index that broadcasts against t) on an
+        array of t; t is clamped into [0, 255]."""
         t = np.asarray(t, dtype=np.float64)
-        return self._j(i, *self._at(i, t), w_var, w_ent, np.square)
+        return self._j(rows, *self._at(rows, t), w_var, w_ent, np.square)
 
     def probe(self, rows, t, w_var, w_ent) -> np.ndarray:
         """J of each row of the (r, 1) index `rows` at the matching row of
@@ -198,17 +200,8 @@ class _Tables:
         return self._j(rows, *self._at(rows, t), w_var, w_ent, _pow2)
 
     def at_knots(self, rows, k, w_var, w_ent) -> np.ndarray:
-        """J of `rows` at integer knots k, as the knot table has it; -inf
-        where k is outside [0, 255]."""
-        j = self._j(rows, *self._at(rows, k.astype(np.float64)), w_var, w_ent, np.square)
-        return np.where((k >= 0) & (k <= 255), j, -np.inf)
-
-    def knots(self, w_var, w_ent) -> np.ndarray:
-        """(rows, 256) J at the integer knots, where the interpolation is the
-        table; the weights are scalars or (rows, 1) columns."""
-        return self._j(
-            np.s_[:, None], self.cum_w, self.cum_s, self.cum_a, w_var, w_ent, np.square
-        )
+        """J of `rows` at integer knots k; -inf where k is outside [0, 255]."""
+        return np.where((k >= 0) & (k <= 255), self.evaluate(rows, k, w_var, w_ent), -np.inf)
 
 
 def _pow2(d):
@@ -323,7 +316,8 @@ def _refine(tab: _Tables, x_star: np.ndarray, w_var, w_ent):
 
 
 def _optimize_rows(hists, complexities, weights: ObjectiveWeights, params: SimplexParams) -> list:
-    """One LeafThreshold per histogram of the sequence `hists`.
+    """One tuple of the LeafThreshold fields `threshold` to `converged` per
+    histogram of the sequence `hists`.
 
     Up to `_BLOCK_ROWS` rows at a time share one table pass, one lockstep
     simplex and one lockstep refinement.
@@ -331,17 +325,16 @@ def _optimize_rows(hists, complexities, weights: ObjectiveWeights, params: Simpl
     out = []
     for lo in range(0, len(hists), _BLOCK_ROWS):
         tab = _Tables(hists[lo : lo + _BLOCK_ROWS])
-        eff = [weights.effective(c) for c in complexities[lo : lo + _BLOCK_ROWS]]
-        wv, we = np.array(eff).T[:, :, None]
+        eff = np.array([weights.effective(c) for c in complexities[lo : lo + _BLOCK_ROWS]]).T
+        wv, we = eff[:, :, None]
         x_star, _, iters, converged = _simplex(
             lambda rows, pts: tab.probe(rows, pts, wv[rows[:, 0]], we[rows[:, 0]]),
             tab.mean,
             params,
         )
         t, jt = _refine(tab, x_star, wv, we)
-        found = zip(t.tolist(), x_star.tolist(), jt.tolist(), iters.tolist(), converged.tolist())
-        for (w_var, w_ent), (ti, xi, ji, ni, ci) in zip(eff, found):
-            out.append(LeafThreshold(ti, xi, ji, w_var, w_ent, ni, ci))
+        out += zip(t.tolist(), x_star.tolist(), jt.tolist(), *eff.tolist(), iters.tolist(),
+                   converged.tolist())
     return out
 
 
@@ -354,9 +347,9 @@ def optimize_leaf(
     """Simplex search from the region mean, then integer refinement.
 
     The returned threshold is always an integer local maximum of J over its
-    integer neighbors, and objective_value is J's knot-table entry there.
+    integer neighbors, and objective_value is J at that knot.
     """
-    return _optimize_rows([hist], [complexity], weights, params)[0]
+    return LeafThreshold(*_optimize_rows([hist], [complexity], weights, params)[0])
 
 
 def oracle_best_threshold(
@@ -365,7 +358,7 @@ def oracle_best_threshold(
     """Exhaustive argmax of J over all 256 integer thresholds (smallest-t tie)."""
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
-    j = tab.knots(wv, we)[0]
+    j = tab.at_knots(0, np.arange(256), wv, we)
     t = int(np.argmax(j))
     return t, float(j[t])
 
@@ -379,31 +372,27 @@ def threshold_tree(
     """Optimize one threshold per leaf, in deterministic leaf order.
 
     `tree` is `build_quadtree(img, ...)`; each threshold is optimized on the
-    histogram the tree keeps for its source node, so no pixel is binned
-    again here.
+    histogram the tree keeps for the leaf's source node, so no pixel is
+    binned again here.
     """
-    leaf = leaf_order(tree)
-    source = _sources(tree.first_child, tree.variance, tree.policy.var_threshold)[leaf]
     complexities = (tree.entropy_bits[tree.sources] / 8.0).tolist()
     found = _optimize_rows(tree.source_hists, complexities, weights, params)
-    rects, entries = tree.rects.tolist(), []
-    for i, s, r in zip(leaf, source.tolist(), np.searchsorted(tree.sources, source).tolist()):
-        f = found[r]
-        fields = f.threshold, f.continuous_optimum, f.objective_value, f.w_var, f.w_ent
-        fields += f.iterations, f.converged, Rect(*rects[i]), None if s == i else Rect(*rects[s])
-        entries.append(LeafThreshold(*fields))
+    rects, sources = tree.rects.tolist(), tree.sources.tolist()
+    entries = []
+    for i, r in zip(tree.leaves.tolist(), tree.leaf_source.tolist()):
+        source_rect = None if sources[r] == i else Rect(*rects[sources[r]])
+        entries.append(LeafThreshold(*found[r], Rect(*rects[i]), source_rect))
     return ThresholdReport(tuple(entries))
 
 
 def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImage:
     """Stitch the per-leaf binarizations into a full-size {0, 255} mask."""
-    leaf = leaf_order(tree)
-    if len(leaf) != len(report.entries):
-        raise ReportTreeMismatch(f"{len(report.entries)} entries for {len(leaf)} leaves")
+    if len(tree.leaves) != len(report.entries):
+        raise ReportTreeMismatch(f"{len(report.entries)} entries for {len(tree.leaves)} leaves")
     mask = np.zeros((img.height, img.width), dtype=np.uint8)
     # foreground flags are written in place as 0/1 bytes, then scaled once
     flags = mask.view(bool)
-    for (x0, y0, w, h), entry in zip(tree.rects[leaf].tolist(), report.entries):
+    for (x0, y0, w, h), entry in zip(tree.rects[tree.leaves].tolist(), report.entries):
         r = entry.rect
         if r is None or (r.x0, r.y0, r.w, r.h) != (x0, y0, w, h):
             raise ReportTreeMismatch(f"entry rect {r} != leaf rect {Rect(x0, y0, w, h)}")

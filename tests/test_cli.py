@@ -441,20 +441,29 @@ def test_cli_help_exits_0(capsys, args):
 
 @pytest.mark.parametrize("command", ["gda-eval", "gda-project"])
 @pytest.mark.parametrize(
-    "text", ["{not json", "{}", "flat samples", "fractional degree", "nan sigma"]
+    "text",
+    ["{not json", "{}", "flat samples", "fractional degree", "nan sigma", "zero-feature samples",
+     "class 1e308", "class 2**70", "fractional classes", "fractional labels"],
 )
 def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
     csv_path, _ = blob_csv(tmp_path)
     model_path = tmp_path / "model.json"
-    if text in ("flat samples", "fractional degree", "nan sigma"):  # well-formed JSON
+    if text not in ("{not json", "{}"):  # well-formed JSON
         run(["gda-train", csv_path, "--model-out", model_path])
         doc = json.loads(model_path.read_text())
         if text == "flat samples":  # samples not (M, n)
             doc["samples"] = [row[0] for row in doc["samples"]]
         elif text == "fractional degree":
             doc["kernel"].update(kind="polynomial", degree=2.5)
-        else:
+        elif text == "nan sigma":
             doc["sigmas"][0][0] = float("nan")
+        elif text == "zero-feature samples":  # the RBF default gamma would be 1/0
+            doc["samples"] = [[] for _ in doc["samples"]]
+        elif text.startswith("class "):  # beyond int64
+            doc["classes"][0] = 1e308 if text == "class 1e308" else 2**70
+        else:  # not whole numbers
+            key = text.split()[1]
+            doc[key] = [c + 0.5 for c in doc[key]]
         text = json.dumps(doc)
     model_path.write_text(text)
     args = [command, model_path, csv_path]

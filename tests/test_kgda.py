@@ -734,6 +734,11 @@ def test_fractional_or_wrapped_label_is_an_error():
     assert small.tolist() == [0, 1, 2**63 - 1]
 
 
+def test_zero_feature_samples_are_an_error():
+    with pytest.raises(InvalidDataset, match="n >= 1"):
+        LabeledDataset(np.zeros((4, 0)), [0, 0, 1, 1])
+
+
 def test_fresh_and_round_tripped_models_project_bit_identically():
     rng = np.random.default_rng(67)
     model = train_gda(blobs(rng, [(0, 0), (4, 0), (0, 4)]))

@@ -14,7 +14,7 @@ from stratseg import (
     region_histogram,
 )
 from stratseg.imgio import Rect
-from stratseg.stratify import _stats, iter_nodes, leaf_order, node_to_dict, stats_from_histogram
+from stratseg.stratify import _stats, iter_nodes, node_to_dict, stats_from_histogram
 
 from quadtree_reference import (
     reference_build,
@@ -367,8 +367,8 @@ def reference_cases(draw):
 @given(case=reference_cases())
 def test_flat_tree_equals_recursive_reference(case):
     """The level-order build gives the recursive builder's tree: the same
-    report JSON byte for byte, the same bits in every stats float, and the
-    same threshold sources with the same histograms."""
+    report JSON byte for byte, the same bits in every stats float, the same
+    threshold sources with the same histograms, and the same leaf plan."""
     img, policy = case
     tree = build_quadtree(img, policy)
     ref = reference_build(img, policy)
@@ -384,6 +384,21 @@ def test_flat_tree_equals_recursive_reference(case):
     ]
     assert [leaf.rect for leaf in leaves(tree)] == [n.rect for n in preorder(ref) if not n.children]
     assert_sources_equal_direct_counts(img, tree)
+
+    # the plan: leaf rects depth first, and each leaf's source rect is its
+    # own for a heterogeneous or root leaf, otherwise its parent's
+    def planned(node, parent):
+        if not node.children:
+            own = node.stats.variance > policy.var_threshold or parent is None
+            yield node.rect, node.rect if own else parent.rect
+        for child in node.children:
+            yield from planned(child, node)
+
+    rects = [Rect(*r) for r in tree.rects.tolist()]
+    expect = list(planned(ref, None))
+    assert [rects[i] for i in tree.leaves.tolist()] == [leaf for leaf, _ in expect]
+    sources = tree.sources[tree.leaf_source].tolist()
+    assert [rects[s] for s in sources] == [source for _, source in expect]
 
 
 @pytest.mark.parametrize("rows", [1, 5])
@@ -414,4 +429,4 @@ def test_leaf_order_is_depth_first():
             return [node.rect]
         return [r for child in node.children for r in leaf_rects(child)]
 
-    assert [Rect(*tree.rects[i].tolist()) for i in leaf_order(tree)] == leaf_rects(ref)
+    assert [Rect(*tree.rects[i].tolist()) for i in tree.leaves] == leaf_rects(ref)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stratseg import (
     GrayImage,
+    LeafThreshold,
     ObjectiveWeights,
     SimplexParams,
     SplitPolicy,
@@ -21,7 +22,7 @@ from stratseg import (
 )
 from stratseg import imgio, stratify
 from stratseg.errors import EmptyHistogram, ReportTreeMismatch
-from stratseg.stratify import leaf_order, stats_from_histogram
+from stratseg.stratify import stats_from_histogram
 from stratseg.threshopt import _BLOCK_ROWS, _optimize_rows, _Tables
 
 from objective_reference import (
@@ -241,7 +242,7 @@ def test_knot_table_is_bit_identical_to_array_evaluation():
     for hist, complexity in cases:
         wv, we = ObjectiveWeights().effective(complexity)
         tab = _Tables(hist)
-        table = tab.knots(wv, we)[0]
+        table = tab.at_knots(0, np.arange(256), wv, we)
         assert np.array_equal(bits(table), bits(tab.evaluate(0, knots, wv, we)))
         assert np.array_equal(bits(table), bits(ReferenceTables(hist).evaluate(knots, wv, we)))
 
@@ -299,7 +300,7 @@ def test_batched_rows_match_optimize_leaf_alone(rows, seed, kinds):
     batched = _optimize_rows(hists, [c for _, c in cases], ObjectiveWeights(), SimplexParams())
     assert len(batched) == rows
     for (hist, complexity), got in zip(cases, batched):
-        assert_same_leaf(got, reference_optimize_leaf(hist, complexity))
+        assert_same_leaf(LeafThreshold(*got), reference_optimize_leaf(hist, complexity))
 
 
 ENT_ONLY = ObjectiveWeights(w_var=0.0, w_ent=1.0, adaptive=False)
@@ -325,7 +326,7 @@ def test_optimize_rows_matches_scalar_reference(reference_zoo, weights, params):
     """The lockstep simplex and refinement give every field of the scalar
     per-leaf optimizer, bit for bit, while rows retire at mixed iterations."""
     hists, complexities, _ = zip(*reference_zoo)
-    got = _optimize_rows(hists, complexities, weights, params)
+    got = [LeafThreshold(*row) for row in _optimize_rows(hists, complexities, weights, params)]
     for (hist, complexity, tables), leaf in zip(reference_zoo, got):
         assert_same_leaf(leaf, reference_optimize_leaf(hist, complexity, weights, params, tables))
     assert len({leaf.iterations for leaf in got}) > 1 or params.max_iter <= 3
@@ -533,10 +534,10 @@ def test_threshold_tree_empty_source_histogram_raises():
     tree = build_quadtree(img, SplitPolicy(max_depth=3, min_side=4, var_threshold=200.0))
     assert len(threshold_tree(img, tree)) == 64  # each leaf is its own source
 
-    last = leaf_order(tree)[-1]
-    assert last in tree.sources
+    last = tree.leaf_source[-1]
+    assert tree.sources[last] == tree.leaves[-1]
     hists = tree.source_hists.copy()
-    hists[np.searchsorted(tree.sources, last)] = 0
+    hists[last] = 0
     emptied = replace(tree, source_hists=hists)
     with pytest.raises(EmptyHistogram):
         threshold_tree(img, emptied)
