@@ -29,11 +29,12 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _read_text(path: str) -> str:
+    data = _read_bytes(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte = f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        raise IoError(f"{path}: not UTF-8 text ({byte})") from None
 
 
 def _write(path: str, data) -> None:

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its whole-number check.
 
 Every error the library raises derives from StratsegError; the class name
 doubles as the machine-parsable category printed by the CLI.
 """
+
+import numbers
 
 
 class StratsegError(Exception):
@@ -47,10 +49,6 @@ class DimensionMismatch(StratsegError):
     """Vector or matrix dimensions disagree."""
 
 
-class EmptyClass(StratsegError):
-    """A class label has no samples."""
-
-
 class ZeroVector(StratsegError):
     """A nonzero vector was required."""
 
@@ -83,3 +81,14 @@ class NonBinaryInput(StratsegError):
 
 class IoError(StratsegError):
     """File could not be read or written."""
+
+
+def whole_number(name: str, value, error=InvalidArgument) -> int:
+    """`value` as an int when it is a whole number (an int, or a float with no
+    fractional part: 8.0 gives 8); anything else, bools included, raises
+    `error`."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise error(f"{name} must be a whole number, got {value!r}")

@@ -20,8 +20,7 @@ full kernel block; a projection that is not finite raises DegenerateKernel.
 from __future__ import annotations
 
 import json
-import math
-import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -31,11 +30,11 @@ from .errors import (
     CsvParse,
     DegenerateKernel,
     DimensionMismatch,
-    EmptyClass,
     InvalidArgument,
     InvalidDataset,
     InvalidModel,
     ZeroVector,
+    whole_number,
 )
 
 __all__ = [
@@ -59,6 +58,7 @@ __all__ = [
 
 LD = np.longdouble  # precision of the refinement residual in train_gda
 _CHUNK_ENTRIES = 2**17  # kernel entries per row chunk in project (1 MiB of float64)
+_FLOAT_MAX = sys.float_info.max  # compares exactly with an int of any size
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "polynomial"):
             raise InvalidArgument(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
+        if self.gamma is not None and not 0 < self.gamma <= _FLOAT_MAX:
             raise InvalidArgument("gamma must be positive and finite")
-        if not math.isfinite(self.coef):
+        if not -_FLOAT_MAX <= self.coef <= _FLOAT_MAX:
             raise InvalidArgument("coef must be finite")
-        deg = self.degree
-        whole = isinstance(deg, numbers.Integral) or (isinstance(deg, float) and deg.is_integer())
-        if isinstance(deg, bool) or not whole:
-            raise InvalidArgument(f"degree must be a whole number, got {deg!r}")
-        if deg < 1:
-            raise InvalidArgument("degree must be >= 1")
-        object.__setattr__(self, "degree", int(deg))
+        object.__setattr__(self, "degree", whole_number("degree", self.degree))
+        if not 1 <= self.degree <= _FLOAT_MAX:
+            raise InvalidArgument("degree must be >= 1 and finite")
 
 
 def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -164,11 +160,15 @@ def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 def compute_kernel_matrix(data: LabeledDataset, spec: KernelSpec) -> np.ndarray:
     """M x M training kernel matrix, exactly symmetric (upper triangle
-    mirrored); an RBF diagonal is exactly 1, i.e. exp(-gamma * 0)."""
-    k = _cross_kernel(data.samples, data.samples, spec)
+    mirrored). Under RBF the entry of two samples with equal bits, the
+    diagonal included, is exactly 1, i.e. exp(-gamma * 0): the Gram expansion
+    would leave rounding of about gamma ||x - mean||^2 ulps there."""
+    x = data.samples
+    k = _cross_kernel(x, x, spec)
     k = np.triu(k) + np.triu(k, 1).T
     if spec.kind == "rbf":
-        np.fill_diagonal(k, 1.0)
+        _, row = np.unique(x.view(np.dtype((np.void, x.strides[0]))).ravel(), return_inverse=True)
+        k[row[:, None] == row] = 1.0
     return k
 
 
@@ -178,15 +178,14 @@ def kernel_class_means(k: np.ndarray, labels) -> tuple:
     Returns (deltas, delta0): deltas has one row per class in ascending
     label order; delta0 is the global column mean.
     """
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    deltas = []
-    for c in classes:
-        cols = k[:, labels == c]
-        if cols.shape[1] == 0:
-            raise EmptyClass(f"class {c} has no samples")
-        deltas.append(cols.mean(axis=1))
-    return np.stack(deltas), k.mean(axis=1)
+    return _class_means(k, labels)[:2]
+
+
+def _class_means(k: np.ndarray, labels) -> tuple:
+    """kernel_class_means plus each column's row of deltas (the class inverse)."""
+    classes, inverse = np.unique(labels, return_inverse=True)
+    deltas = [k[:, inverse == i].mean(axis=1) for i in range(len(classes))]
+    return np.stack(deltas), k.mean(axis=1), inverse
 
 
 @dataclass(frozen=True)
@@ -208,15 +207,21 @@ def _scatter_factors(k: np.ndarray, labels) -> tuple:
     dev the kernel columns minus their class means.
     """
     m = k.shape[0]
-    _, inverse = np.unique(labels, return_inverse=True)
-    deltas, delta0 = kernel_class_means(k, labels)
+    deltas, delta0, inverse = _class_means(k, labels)
     counts = np.bincount(inverse).astype(k.dtype)
     c_b = ((deltas - delta0) * np.sqrt(counts / m)[:, None]).T
     dev = k - deltas[inverse].T  # column j minus its class mean
     return deltas, delta0, c_b, dev
 
 
-def _scatter(k: np.ndarray, labels: np.ndarray) -> ScatterMatrices:
+def scatter_matrices(k: np.ndarray, labels) -> ScatterMatrices:
+    """Kernel scatter matrices; satisfies u_t = u_b + u_w and all three PSD.
+
+    They are formed in k's dtype when it is wider than float64 (longdouble);
+    any other k is taken as float64.
+    """
+    k = np.asarray(k)
+    k = k.astype(np.result_type(k, np.float64), copy=False)
     m = k.shape[0]
     deltas, delta0, c_b, dev_w = _scatter_factors(k, np.asarray(labels))
     u_b = c_b @ c_b.T
@@ -225,11 +230,6 @@ def _scatter(k: np.ndarray, labels: np.ndarray) -> ScatterMatrices:
     u_t = dev_t @ dev_t.T / m
     sym = lambda a: (a + a.T) / 2
     return ScatterMatrices(sym(u_b), sym(u_w), sym(u_t), deltas, delta0)
-
-
-def scatter_matrices(k: np.ndarray, labels) -> ScatterMatrices:
-    """Kernel scatter matrices; satisfies u_t = u_b + u_w and all three PSD."""
-    return _scatter(np.asarray(k, dtype=np.float64), np.asarray(labels))
 
 
 def regularization_epsilon(u_w: np.ndarray) -> float:
@@ -306,7 +306,8 @@ def train_gda(
     k = compute_kernel_matrix(data, spec)
     if not np.all(np.isfinite(k)):
         raise DegenerateKernel("kernel matrix has non-finite entries")
-    if float(np.abs(k).max()) < 1e-30:
+    k_max = float(np.abs(k).max())
+    if k_max < 1e-30:
         raise DegenerateKernel("kernel matrix is numerically zero")
     m = k.shape[0]
     _, _, c_ld, dev_ld = _scatter_factors(k.astype(LD), data.labels)
@@ -319,33 +320,30 @@ def train_gda(
         return dev @ (dev.T @ s) / m + eps * s
 
     ev_b = np.linalg.eigvalsh(c_b.T @ c_b)  # nonzero spectrum of U_b = C C^T
-    rank_b = int(np.sum(ev_b > 1e-10 * ev_b[-1])) if ev_b[-1] > 0 else 0
+    # K's entries are rounded to about u max|K|, u the float64 epsilon: class
+    # means less than ten such ulps apart, an eigenvalue below 100 M (u max|K|)^2,
+    # are rounding, as for classes that are copies of each other
+    floor = 100 * m * (np.finfo(np.float64).eps * k_max) ** 2
+    rank_b = int(np.sum(ev_b > max(1e-10 * ev_b[-1], floor)))
     d_eff = min(d_req, z - 1, rank_b)
-    achieved_all = d_eff == d_req
 
-    if d_eff == 0:
-        sigmas = np.zeros((m, 0))
-        etas = np.zeros(0)
-    else:
-        # U_b s = eta B s with U_b = C C^T reduces to the Z x Z problem
-        # (C^T B^-1 C) v = eta v, s = B^-1 C v. One refinement step makes
-        # B^-1 C accurate; only its residual needs extended precision.
-        x = np.linalg.solve(b, c_b)
-        x_ld = x.astype(LD)
-        r = c_ld - (dev_ld @ (dev_ld.T @ x_ld) / m + LD(eps) * x_ld)
-        del c_ld, dev_ld, x_ld  # free the extended-precision copies
-        x += np.linalg.solve(b, r.astype(np.float64))
-        g = c_b.T @ x
-        _, v = np.linalg.eigh((g + g.T) / 2)
-        sigmas = _b_orthonormalize(x @ v[:, ::-1][:, :d_eff], apply_b)
-        etas = ((c_b.T @ sigmas) ** 2).sum(axis=0)  # sigma^T B sigma = I
-        peak = np.abs(sigmas).argmax(axis=0)
-        sigmas *= np.sign(sigmas[peak, np.arange(d_eff)])
+    # U_b s = eta B s with U_b = C C^T reduces to the Z x Z problem
+    # (C^T B^-1 C) v = eta v, s = B^-1 C v. One refinement step makes
+    # B^-1 C accurate; only its residual needs extended precision.
+    x = np.linalg.solve(b, c_b)
+    x_ld = x.astype(LD)
+    r = c_ld - (dev_ld @ (dev_ld.T @ x_ld) / m + LD(eps) * x_ld)
+    del c_ld, dev_ld, x_ld  # free the extended-precision copies
+    x += np.linalg.solve(b, r.astype(np.float64))
+    g = c_b.T @ x
+    _, v = np.linalg.eigh((g + g.T) / 2)
+    sigmas = _b_orthonormalize(x @ v[:, ::-1][:, :d_eff], apply_b)
+    etas = ((c_b.T @ sigmas) ** 2).sum(axis=0)  # sigma^T B sigma = I
+    peak = np.abs(sigmas).argmax(axis=0)
+    sigmas *= np.sign(sigmas[peak, np.arange(d_eff)])
 
     proj = k @ sigmas  # row j = projection of training sample j
-    class_means = np.stack(
-        [proj[data.labels == c].mean(axis=0) for c in classes]
-    ) if d_eff else np.zeros((z, 0))
+    class_means = np.stack([proj[data.labels == c].mean(axis=0) for c in classes])
     return GdaModel(
         samples=data.samples,
         labels=data.labels,
@@ -357,7 +355,7 @@ def train_gda(
         eps=eps,
         classes=classes,
         class_means=class_means,
-        achieved_all=achieved_all,
+        achieved_all=d_eff == d_req,
     )
 
 
@@ -558,5 +556,5 @@ def load_model(text: str) -> GdaModel:
         )
     except KeyError as exc:
         raise InvalidModel(f"missing field {exc}") from None
-    except (InvalidDataset, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (InvalidDataset, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidModel(str(exc)) from None

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, NonBinaryInput
+from .errors import DimensionMismatch, InvalidSpec, NonBinaryInput, whole_number
 from .imgio import GrayImage
 
 __all__ = ["ShapeSpec", "PhantomSpec", "SegMetrics", "generate_phantom", "seg_metrics"]
@@ -50,7 +49,7 @@ class ShapeSpec:
             raise InvalidSpec("shape center must be finite")
         if not (0 < self.rx < math.inf and 0 < self.ry < math.inf):
             raise InvalidSpec("shape extents must be positive and finite")
-        object.__setattr__(self, "intensity", _whole("intensity", self.intensity))
+        object.__setattr__(self, "intensity", whole_number("intensity", self.intensity, InvalidSpec))
         if not (0 <= self.intensity <= 255):
             raise InvalidSpec("shape intensity must lie in [0, 255]")
 
@@ -58,16 +57,6 @@ class ShapeSpec:
         if self.kind == "ellipse":
             return ((xs - self.cx) / self.rx) ** 2 + ((ys - self.cy) / self.ry) ** 2 <= 1.0
         return (np.abs(xs - self.cx) <= self.rx) & (np.abs(ys - self.cy) <= self.ry)
-
-
-def _whole(name: str, value) -> int:
-    """`value` as an int when it is a whole number (an int, or a float with no
-    fractional part); anything else, bools included, is InvalidSpec."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InvalidSpec(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +71,7 @@ class PhantomSpec:
 
     def __post_init__(self):
         for name in ("width", "height", "background", "seed"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), InvalidSpec))
         if self.width < 1 or self.height < 1:
             raise InvalidSpec("phantom dimensions must be positive")
         if not (0 <= self.background <= 255):
@@ -114,7 +103,7 @@ class PhantomSpec:
                 noise_sigma=float(doc.get("noise_sigma", 0.0)),
                 seed=doc.get("seed", 0),
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             if isinstance(exc, InvalidSpec):
                 raise
             raise InvalidSpec(str(exc)) from None

@@ -22,13 +22,12 @@ only those source histograms; `threshold_tree` and `segment` read the plan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, whole_number
 from .imgio import _BAND_PIXELS, GrayImage, Rect, bin_rows
 
 __all__ = [
@@ -54,6 +53,8 @@ class SplitPolicy:
     var_threshold: float = 400.0
 
     def __post_init__(self):
+        for name in ("max_depth", "min_side"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if not (0 <= self.max_depth <= 12):
             raise InvalidArgument("max_depth must be in [0, 12]")
         if self.min_side < 2:
@@ -161,16 +162,6 @@ def _children(rects: np.ndarray) -> np.ndarray:
     return np.stack([np.stack(q, axis=1) for q in quads], axis=1).reshape(-1, 4)
 
 
-def _cuts(n: int, depth: int) -> list:
-    """Sorted distinct split positions, ends included, of [0, n) after
-    `depth` rounds of the `_children` ceil-halving."""
-    cuts = [0, n]
-    for _ in range(depth):
-        mids = [a + math.ceil((b - a) / 2) for a, b in zip(cuts, cuts[1:])]
-        cuts = sorted(set(cuts + mids))
-    return cuts
-
-
 def _bin_rects(pixels: np.ndarray, rects: np.ndarray, out: np.ndarray):
     """Write the histograms of k rects into (k, 256) `out`: b rects of one shape
     are the columns of one (h * w, b) array, binned in one keyed pass."""
@@ -188,12 +179,16 @@ def _bin_rects(pixels: np.ndarray, rects: np.ndarray, out: np.ndarray):
 
 class _TileGrid:
     """Summed-area table of the histograms of the tiles cut by `depth`
-    rounds of ceil-halving; every node down to `depth` is a union of tiles."""
+    rounds of `_children`; every node down to `depth` is a union of tiles."""
 
     def __init__(self, img: GrayImage, depth: int):
         self.pixels, self.depth = img.pixels, depth
-        xs, ys = _cuts(img.width, depth), _cuts(img.height, depth)
-        self.xs, self.ys = np.array(xs), np.array(ys)
+        tiles = np.array([[0, 0, img.width, img.height]], np.int64)
+        for _ in range(depth):
+            tiles = _children(tiles)
+        # the tiles' near edges and the image's far edges, sorted and distinct
+        self.xs = xs = np.unique(np.append(tiles[:, 0], img.width))
+        self.ys = ys = np.unique(np.append(tiles[:, 1], img.height))
         ntx = len(xs) - 1
         # a pixel's bin is its level plus 256 times its tile column; each
         # tile row is binned on its own, so no band straddles two

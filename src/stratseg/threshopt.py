@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch
+from .errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch, whole_number
 from .imgio import GrayImage, Rect, _adopt
 from .stratify import QuadTree
 
@@ -95,6 +95,7 @@ class SimplexParams:
     diameter_tol: float = 0.5
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iter", whole_number("max_iter", self.max_iter))
         if self.max_iter < 1:
             raise InvalidArgument("max_iter must be >= 1")
         if not self.diameter_tol > 0:

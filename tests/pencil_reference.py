@@ -11,8 +11,8 @@ reference on small problems.
 import numpy as np
 from scipy.linalg import eigh
 
-from stratseg import compute_kernel_matrix
-from stratseg.kgda import _scatter, regularization_epsilon
+from stratseg import compute_kernel_matrix, scatter_matrices
+from stratseg.kgda import regularization_epsilon
 
 LD = np.longdouble
 
@@ -101,7 +101,7 @@ def full_pencil_discriminants(data, spec, d: int):
     their largest-magnitude entry positive.
     """
     k = compute_kernel_matrix(data, spec).astype(LD)
-    scat = _scatter(k, data.labels)
+    scat = scatter_matrices(k, data.labels)
     eps = regularization_epsilon(scat.u_w.astype(np.float64))
     uwe = scat.u_w + LD(eps) * np.eye(k.shape[0], dtype=LD)
     lams, vecs = top_pencil_eigenpairs(scat.u_b, uwe, d)

@@ -41,7 +41,6 @@ from stratseg import (
     train_gda,
 )
 from stratseg.cli import main as cli_main
-from stratseg.kgda import _scatter
 from stratseg.stratify import iter_nodes, stats_from_histogram
 
 from pencil_reference import full_pencil_discriminants
@@ -272,7 +271,7 @@ def test_criterion_5_eigen_system_correctness():
         n_models += 1
         data = LabeledDataset(model.samples, model.labels)
         k = compute_kernel_matrix(data, model.spec).astype(LD)
-        s = _scatter(k, model.labels)
+        s = scatter_matrices(k, model.labels)
         uwe = s.u_w + LD(model.eps) * np.eye(k.shape[0], dtype=LD)
         sig = model.sigmas.astype(LD)
         # normwise backward error of each eigenpair against the pencil,

@@ -278,10 +278,13 @@ def test_cli_non_finite_phantom_spec_reports_category(tmp_path, capsys, field, v
     assert not img.exists()
 
 
+DEEP_JSON = "[" * 200000 + "]" * 200000  # nested past the recursion limit
+
+
 @pytest.mark.parametrize(
     "text",
     ["[1, 2]", '{"width": 16, "height": 16, "seed": -1, "noise_sigma": 3}',
-     '{"width": 8.5, "height": 16}'],
+     '{"width": 8.5, "height": 16}', pytest.param(DEEP_JSON, id="deep nesting")],
 )
 def test_cli_malformed_phantom_spec_reports_category(tmp_path, capsys, text):
     spec = tmp_path / "bad.json"
@@ -443,12 +446,13 @@ def test_cli_help_exits_0(capsys, args):
 @pytest.mark.parametrize(
     "text",
     ["{not json", "{}", "flat samples", "fractional degree", "nan sigma", "zero-feature samples",
-     "class 1e308", "class 2**70", "fractional classes", "fractional labels"],
+     "class 1e308", "class 2**70", "fractional classes", "fractional labels",
+     pytest.param(DEEP_JSON, id="deep nesting")],
 )
 def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
     csv_path, _ = blob_csv(tmp_path)
     model_path = tmp_path / "model.json"
-    if text not in ("{not json", "{}"):  # well-formed JSON
+    if text not in ("{not json", "{}", DEEP_JSON):  # well-formed model JSON
         run(["gda-train", csv_path, "--model-out", model_path])
         doc = json.loads(model_path.read_text())
         if text == "flat samples":  # samples not (M, n)
@@ -472,6 +476,23 @@ def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
     assert run(args) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: InvalidModel:")
+
+
+@pytest.mark.parametrize("kind", ["csv", "model", "spec"])
+def test_cli_non_utf8_text_reports_path_and_offset(tmp_path, capsys, kind):
+    csv_path, _ = blob_csv(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1,2,0\n3,\xff4,1\n")
+    out = tmp_path / "o.out"
+    args = {
+        "csv": ["gda-train", bad, "--model-out", out],
+        "model": ["gda-eval", bad, csv_path, "--out", out],
+        "spec": ["phantom", bad, "--image", out, "--mask", tmp_path / "m.pgm"],
+    }[kind]
+    assert run(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: IoError: {bad}: not UTF-8 text (byte 0xff at offset 8)"]
+    assert not out.exists()
 
 
 HUGE_ROWS = "1e160,1e160,0\n1e160,-1e160,1\n-1e160,1e160,2\n"

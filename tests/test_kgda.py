@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stratseg import (
     KernelSpec,
@@ -28,7 +29,6 @@ from stratseg.kgda import (
     _csv_lines,
     _parse_joined,
     _parse_rows,
-    _scatter,
     read_csv,
     regularization_epsilon,
 )
@@ -39,10 +39,12 @@ from stratseg.errors import (
     DimensionMismatch,
     InvalidArgument,
     InvalidDataset,
+    StratsegError,
     ZeroVector,
 )
 
 from kernel_reference import reference_kernel
+from json_documents import json_documents
 from pencil_reference import full_pencil_discriminants
 
 LD = np.longdouble
@@ -62,7 +64,7 @@ def uwe_longdouble(model):
     training kernel, recomputed in extended precision."""
     data = LabeledDataset(model.samples, model.labels)
     k = compute_kernel_matrix(data, model.spec).astype(LD)
-    s = _scatter(k, model.labels)
+    s = scatter_matrices(k, model.labels)
     uwe = s.u_w + LD(model.eps) * np.eye(k.shape[0], dtype=LD)
     return s.u_b, uwe
 
@@ -149,6 +151,11 @@ def test_kernel_spec_validation():
     for degree in (2.5, True, "2", float("inf")):
         with pytest.raises(InvalidArgument):
             KernelSpec("polynomial", degree=degree)
+    # numpy takes gamma, degree and coef as float64: an int beyond its range
+    # is an error here, not an OverflowError in project
+    for kwargs in ({"gamma": 10**400}, {"degree": 10**400}, {"coef": -(10**400)}):
+        with pytest.raises(InvalidArgument):
+            KernelSpec("polynomial", **kwargs)
     spec = KernelSpec("polynomial", degree=3.0)
     assert spec.degree == 3 and isinstance(spec.degree, int)
 
@@ -291,6 +298,36 @@ def test_train_caps_discriminants_at_rank():
     model = train_gda(data, KernelSpec("linear"), d=5)
     assert model.n_discriminants == 1
     assert not model.achieved_all
+
+
+SPECS = [KernelSpec("linear"), KernelSpec("rbf"), KernelSpec("rbf", gamma=0.3),
+         KernelSpec("polynomial", degree=2), KernelSpec("polynomial", degree=3, coef=0.5)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.gamma}-{s.degree}")
+def test_identical_classes_give_no_discriminant(spec):
+    """Classes that are copies of each other have equal kernel means up to
+    rounding of K, so U_b has rank 0 under every kernel."""
+    base = np.random.default_rng(56).normal(size=(6, 3))
+    data = LabeledDataset(np.vstack([base] * 3), np.repeat([0, 1, 2], 6))
+    for d in (None, 1):
+        model = train_gda(data, spec, d)
+        assert model.sigmas.shape == (18, 0) and model.etas.shape == (0,)
+        assert model.class_means.shape == (3, 0)
+        assert not model.achieved_all
+    assert load_model(save_model(model)).n_discriminants == 0
+
+
+def test_rank_floor_keeps_a_small_feature_beside_a_large_constant_one():
+    """The linear kernel is not centred: a constant feature of 2e5 puts max|K|
+    near 4e10, and the unit-scale feature that separates the classes still
+    gives its discriminant."""
+    rng = np.random.default_rng(57)
+    y = np.repeat([0, 1], 8)
+    x = np.column_stack([np.full(16, 2e5), y + rng.normal(0, 0.1, 16)])
+    model = train_gda(LabeledDataset(x, y), KernelSpec("linear"))
+    assert model.n_discriminants == 1 and model.achieved_all
+    assert np.all(classify_nearest_mean(model, x) == y)
 
 
 def test_train_single_class_rejected():
@@ -769,3 +806,29 @@ def test_regularization_epsilon_trace_scaled_with_floor():
     u_w = np.eye(m) * 2.0
     assert regularization_epsilon(u_w) == pytest.approx(1e-8 * 20.0 / m)
     assert regularization_epsilon(np.zeros((4, 4))) == 1e-12
+
+
+_MODEL_TEXT = save_model(train_gda(
+    LabeledDataset([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]], [0, 0, 1, 1]),
+    KernelSpec("polynomial"),
+))
+_MODEL_KEYS = sorted(set(json.loads(_MODEL_TEXT)) | set(json.loads(_MODEL_TEXT)["kernel"]))
+
+
+def _model_with_kernel(**kernel):
+    doc = json.loads(_MODEL_TEXT)
+    doc["kernel"].update(kernel)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200)
+@given(text=json_documents(_MODEL_TEXT, _MODEL_KEYS))
+@example(text="[" * 200000 + "]" * 200000)
+@example(text=_model_with_kernel(kind="rbf", gamma=10**400))
+@example(text=_model_with_kernel(degree=10**400))
+def test_any_model_json_loads_and_projects_or_raises_stratseg_error(text):
+    try:
+        model = load_model(text)
+        project(model, np.ones(model.samples.shape[1]))
+    except StratsegError:
+        pass

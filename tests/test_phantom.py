@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from stratseg import GrayImage, PhantomSpec, ShapeSpec, generate_phantom, seg_metrics
-from stratseg.errors import DimensionMismatch, InvalidSpec, NonBinaryInput
+from stratseg.errors import DimensionMismatch, InvalidSpec, NonBinaryInput, StratsegError
+
+from json_documents import json_documents
 
 
 def binary(arr):
@@ -166,3 +171,18 @@ def test_metrics_json_has_definitions():
     res = seg_metrics(binary(np.eye(5)), binary(np.eye(5)))
     doc = res.to_json()
     assert '"distortion"' in doc and '"reliability"' in doc and "Dice" in doc
+
+
+_SPEC_TEXT = PhantomSpec(16, 12, 70, (ShapeSpec("ellipse", 8, 6, 4, 3, 150),), 20.0, 5.0, 7).to_json()
+_SPEC_KEYS = sorted(set(json.loads(_SPEC_TEXT)) | set(json.loads(_SPEC_TEXT)["shapes"][0]))
+
+
+@settings(max_examples=200)
+@given(text=json_documents(_SPEC_TEXT, _SPEC_KEYS))
+@example(text="[" * 200000 + "]" * 200000)
+@example(text=_SPEC_TEXT.replace("20.0", str(10**400)))  # ramp_amplitude beyond float64
+def test_any_spec_json_parses_or_raises_stratseg_error(text):
+    try:
+        PhantomSpec.from_json(text)
+    except StratsegError:
+        pass

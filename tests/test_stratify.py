@@ -13,6 +13,7 @@ from stratseg import (
     region_complexity,
     region_histogram,
 )
+from stratseg.errors import InvalidArgument
 from stratseg.imgio import Rect
 from stratseg.stratify import _stats, iter_nodes, node_to_dict, stats_from_histogram
 
@@ -329,6 +330,13 @@ def test_policy_validation():
         SplitPolicy(min_side=1)
     with pytest.raises(ValueError):
         SplitPolicy(var_threshold=-1.0)
+    for field in ("max_depth", "min_side"):
+        for value in (2.5, True, "3", float("inf")):
+            with pytest.raises(InvalidArgument, match=f"{field} must be a whole number"):
+                SplitPolicy(**{field: value})
+    policy = SplitPolicy(max_depth=8.0, min_side=np.int64(4))
+    assert (policy.max_depth, policy.min_side) == (8, 4)
+    assert type(policy.max_depth) is int and type(policy.min_side) is int
 
 
 def _hex_stats(stats):

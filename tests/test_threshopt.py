@@ -21,7 +21,7 @@ from stratseg import (
     threshold_tree,
 )
 from stratseg import imgio, stratify
-from stratseg.errors import EmptyHistogram, ReportTreeMismatch
+from stratseg.errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch
 from stratseg.stratify import stats_from_histogram
 from stratseg.threshopt import _BLOCK_ROWS, _optimize_rows, _Tables
 
@@ -571,6 +571,11 @@ def test_simplex_params_validation():
         SimplexParams(max_iter=0)
     with pytest.raises(ValueError):
         SimplexParams(diameter_tol=0.0)
+    for value in (2.5, True, "3", float("nan")):
+        with pytest.raises(InvalidArgument, match="max_iter must be a whole number"):
+            SimplexParams(max_iter=value)
+    params = SimplexParams(max_iter=8.0)
+    assert params.max_iter == 8 and type(params.max_iter) is int
 
 
 def test_objective_weights_validation():
