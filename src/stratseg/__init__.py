@@ -19,20 +19,12 @@ from .kgda import (
     train_gda,
 )
 from .phantom import PhantomSpec, SegMetrics, ShapeSpec, generate_phantom, seg_metrics
-from .stratify import (
-    QuadTree,
-    RegionNode,
-    SplitPolicy,
-    build_quadtree,
-    leaves,
-    region_complexity,
-)
+from .stratify import QuadTree, RegionNode, SplitPolicy, build_quadtree, leaves
 from .threshopt import (
     LeafThreshold,
     ObjectiveWeights,
     SimplexParams,
     ThresholdReport,
-    nelder_mead_1d,
     objective,
     optimize_leaf,
     oracle_best_threshold,

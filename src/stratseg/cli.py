@@ -59,17 +59,17 @@ def cmd_phantom(args) -> int:
     return 0
 
 
+def _segment_params(args) -> tuple:
+    return (
+        stratify.SplitPolicy(args.max_depth, args.min_side, args.var_threshold),
+        threshopt.ObjectiveWeights(args.w_var, args.w_ent, adaptive=not args.no_adaptive),
+        threshopt.SimplexParams(args.max_iter, args.diameter_tol),
+    )
+
+
 def cmd_segment(args) -> int:
     img = imgio.load_pgm(_read_bytes(args.image))
-    policy = stratify.SplitPolicy(
-        max_depth=args.max_depth, min_side=args.min_side, var_threshold=args.var_threshold
-    )
-    weights = threshopt.ObjectiveWeights(
-        w_var=args.w_var, w_ent=args.w_ent, adaptive=not args.no_adaptive
-    )
-    params = threshopt.SimplexParams(
-        max_iter=args.max_iter, diameter_tol=args.diameter_tol
-    )
+    policy, weights, params = _segment_params(args)
     t0 = time.perf_counter()
     tree = stratify.build_quadtree(img, policy)
     report = threshopt.threshold_tree(img, tree, weights, params)
@@ -103,9 +103,7 @@ def cmd_eval_seg(args) -> int:
 
 
 def _kernel_spec(args) -> kgda.KernelSpec:
-    return kgda.KernelSpec(
-        kind=args.kernel, gamma=args.gamma, degree=args.degree, coef=args.coef
-    )
+    return kgda.KernelSpec(args.kernel, args.gamma, args.degree, args.coef)
 
 
 def cmd_gda_train(args) -> int:
@@ -176,14 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("image", help="input PGM")
     sp.add_argument("--mask-out", required=True)
     sp.add_argument("--report-out", required=True)
-    sp.add_argument("--max-depth", type=int, default=4)
-    sp.add_argument("--min-side", type=int, default=16)
-    sp.add_argument("--var-threshold", type=float, default=400.0)
-    sp.add_argument("--w-var", type=float, default=0.7)
-    sp.add_argument("--w-ent", type=float, default=0.3)
+    policy, weights = stratify.SplitPolicy(), threshopt.ObjectiveWeights()
+    simplex = threshopt.SimplexParams()
+    sp.add_argument("--max-depth", type=int, default=policy.max_depth)
+    sp.add_argument("--min-side", type=int, default=policy.min_side)
+    sp.add_argument("--var-threshold", type=float, default=policy.var_threshold)
+    sp.add_argument("--w-var", type=float, default=weights.w_var)
+    sp.add_argument("--w-ent", type=float, default=weights.w_ent)
     sp.add_argument("--no-adaptive", action="store_true")
-    sp.add_argument("--max-iter", type=int, default=200)
-    sp.add_argument("--diameter-tol", type=float, default=0.5)
+    sp.add_argument("--max-iter", type=int, default=simplex.max_iter)
+    sp.add_argument("--diameter-tol", type=float, default=simplex.diameter_tol)
     sp.set_defaults(func=cmd_segment)
 
     sp = sub.add_parser("eval-seg", help="distortion/Dice of a mask vs ground truth")
@@ -195,10 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gda-train", help="train a kernel discriminant model")
     sp.add_argument("csv", help="dataset CSV: feature columns then integer label")
     sp.add_argument("--model-out", required=True)
-    sp.add_argument("--kernel", choices=("linear", "rbf", "polynomial"), default="rbf")
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--degree", type=int, default=2)
-    sp.add_argument("--coef", type=float, default=1.0)
+    kernel = kgda.KernelSpec()
+    sp.add_argument("--kernel", choices=kgda.KERNEL_KINDS, default=kernel.kind)
+    sp.add_argument("--gamma", type=float, default=kernel.gamma)
+    sp.add_argument("--degree", type=int, default=kernel.degree)
+    sp.add_argument("--coef", type=float, default=kernel.coef)
     sp.add_argument("--discriminants", type=int, default=None)
     sp.add_argument("--header", action="store_true", help="CSV has a header row")
     sp.set_defaults(func=cmd_gda_train)

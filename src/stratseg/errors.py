@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its whole-number check.
+"""Exception hierarchy shared across the package, and its number checks.
 
 Every error the library raises derives from StratsegError; the class name
 doubles as the machine-parsable category printed by the CLI.
@@ -92,3 +92,11 @@ def whole_number(name: str, value, error=InvalidArgument) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise error(f"{name} must be a whole number, got {value!r}")
+
+
+def real_number(name: str, value, error=InvalidArgument):
+    """`value`, unchanged, when it is a real number (an int or a float, numpy's
+    included); anything else, bools included, raises `error`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise error(f"{name} must be a number, got {value!r}")

@@ -34,6 +34,7 @@ from .errors import (
     InvalidDataset,
     InvalidModel,
     ZeroVector,
+    real_number,
     whole_number,
 )
 
@@ -59,6 +60,7 @@ __all__ = [
 LD = np.longdouble  # precision of the refinement residual in train_gda
 _CHUNK_ENTRIES = 2**17  # kernel entries per row chunk in project (1 MiB of float64)
 _FLOAT_MAX = sys.float_info.max  # compares exactly with an int of any size
+KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
 
 @dataclass(frozen=True)
@@ -117,11 +119,11 @@ class KernelSpec:
     coef: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "rbf", "polynomial"):
+        if self.kind not in KERNEL_KINDS:
             raise InvalidArgument(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and not 0 < self.gamma <= _FLOAT_MAX:
+        if self.gamma is not None and not 0 < real_number("gamma", self.gamma) <= _FLOAT_MAX:
             raise InvalidArgument("gamma must be positive and finite")
-        if not -_FLOAT_MAX <= self.coef <= _FLOAT_MAX:
+        if not -_FLOAT_MAX <= real_number("coef", self.coef) <= _FLOAT_MAX:
             raise InvalidArgument("coef must be finite")
         object.__setattr__(self, "degree", whole_number("degree", self.degree))
         if not 1 <= self.degree <= _FLOAT_MAX:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, NonBinaryInput, whole_number
+from .errors import DimensionMismatch, InvalidSpec, NonBinaryInput, real_number, whole_number
 from .imgio import GrayImage
 
 __all__ = ["ShapeSpec", "PhantomSpec", "SegMetrics", "generate_phantom", "seg_metrics"]
@@ -45,6 +45,8 @@ class ShapeSpec:
     def __post_init__(self):
         if self.kind not in ("ellipse", "rectangle"):
             raise InvalidSpec(f"unknown shape kind {self.kind!r}")
+        for name in ("cx", "cy", "rx", "ry"):
+            real_number(name, getattr(self, name), InvalidSpec)
         if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
             raise InvalidSpec("shape center must be finite")
         if not (0 < self.rx < math.inf and 0 < self.ry < math.inf):
@@ -78,9 +80,9 @@ class PhantomSpec:
             raise InvalidSpec("background must lie in [0, 255]")
         if self.seed < 0:
             raise InvalidSpec("seed must be nonnegative")
-        if not math.isfinite(self.ramp_amplitude):
+        if not math.isfinite(real_number("ramp_amplitude", self.ramp_amplitude, InvalidSpec)):
             raise InvalidSpec("ramp amplitude must be finite")
-        if not 0 <= self.noise_sigma < math.inf:
+        if not 0 <= real_number("noise_sigma", self.noise_sigma, InvalidSpec) < math.inf:
             raise InvalidSpec("noise sigma must be nonnegative and finite")
         object.__setattr__(self, "shapes", tuple(self.shapes))
 
@@ -111,20 +113,25 @@ class PhantomSpec:
 
 def generate_phantom(spec: PhantomSpec) -> tuple:
     """Render (image, ground-truth mask) deterministically from (spec, seed)."""
-    ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
-    img = np.full((spec.height, spec.width), float(spec.background))
-    truth = np.zeros((spec.height, spec.width), dtype=bool)
-    for shape in spec.shapes:
-        inside = shape.mask(xs, ys)
-        img[inside] = float(shape.intensity)
-        truth |= inside
-    diag = max(spec.width - 1, 1) + max(spec.height - 1, 1)
-    img += spec.ramp_amplitude * (xs + ys) / diag
-    if spec.noise_sigma > 0:
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
-        img += rng.normal(0.0, spec.noise_sigma, size=img.shape)
-    img = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    mask = np.where(truth, 255, 0).astype(np.uint8)
+    try:
+        img = np.full((spec.height, spec.width), float(spec.background))
+        truth = np.zeros((spec.height, spec.width), dtype=bool)
+        # open grids, allocated after the image: a size that cannot fit fails first
+        ys = np.arange(spec.height, dtype=np.float64)[:, None]
+        xs = np.arange(spec.width, dtype=np.float64)
+        for shape in spec.shapes:
+            inside = shape.mask(xs, ys)
+            img[inside] = float(shape.intensity)
+            truth |= inside
+        diag = max(spec.width - 1, 1) + max(spec.height - 1, 1)
+        img += spec.ramp_amplitude * (xs + ys) / diag
+        if spec.noise_sigma > 0:
+            rng = np.random.Generator(np.random.PCG64(spec.seed))
+            img += rng.normal(0.0, spec.noise_sigma, size=img.shape)
+        img = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+        mask = np.where(truth, 255, 0).astype(np.uint8)
+    except MemoryError:
+        raise InvalidSpec(f"a {spec.width}x{spec.height} phantom does not fit in memory") from None
     return GrayImage(img), GrayImage(mask)
 
 

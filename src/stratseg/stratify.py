@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument, whole_number
+from .errors import InvalidArgument, real_number, whole_number
 from .imgio import _BAND_PIXELS, GrayImage, Rect, bin_rows
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "QuadTree",
     "build_quadtree",
     "leaves",
-    "region_complexity",
 ]
 
 _GRID_DEPTH = 6  # tile grid of at most 64 x 64 tiles: 8 MiB of int64 counts
@@ -59,7 +58,7 @@ class SplitPolicy:
             raise InvalidArgument("max_depth must be in [0, 12]")
         if self.min_side < 2:
             raise InvalidArgument("min_side must be >= 2")
-        if not self.var_threshold >= 0:
+        if not real_number("var_threshold", self.var_threshold) >= 0:
             raise InvalidArgument("var_threshold must be nonnegative")
 
 
@@ -96,11 +95,6 @@ def _stats(hists):
         rows = np.flatnonzero(m == mi)
         entropy[rows] = -terms[start[rows, None] + np.arange(mi)].sum(axis=1)
     return n, mean, variance, entropy
-
-
-def stats_from_histogram(hist: np.ndarray) -> RegionStats:
-    n, mean, variance, entropy = (v.item() for v in _stats(hist))
-    return RegionStats(int(n), mean, variance, entropy)
 
 
 @dataclass(frozen=True)
@@ -282,11 +276,6 @@ def iter_nodes(tree: QuadTree):
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children))
-
-
-def region_complexity(node: RegionNode) -> float:
-    """Gray-level entropy of the region scaled into [0, 1] (entropy / 8)."""
-    return node.stats.entropy_bits / 8.0
 
 
 def node_to_dict(tree: QuadTree) -> dict:

@@ -13,9 +13,9 @@ run in lockstep over the block's rows: each step is one set of array calls
 over the rows still active, with per-row masks for each row's branch, and a
 row retires when it is done (`_simplex`, `_refine`). Each row's numbers do
 not depend on the other rows. `threshold_tree` passes the histograms of all
-its source nodes; `optimize_leaf`, `objective` and `nelder_mead_1d` are the
-one-row case. The tree decides which leaves there are, their order and
-each leaf's source row; `threshold_tree` only reads that plan.
+its source nodes; `optimize_leaf` and `objective` are the one-row case. The
+tree decides which leaves there are, their order and each leaf's source
+row; `threshold_tree` only reads that plan.
 
 There is one formula for J (`_Tables._j`), over values gathered from the
 cumulative tables; it takes the square as an argument. Simplex probes
@@ -34,11 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch, whole_number
+from .errors import (
+    DimensionMismatch,
+    EmptyHistogram,
+    InvalidArgument,
+    ReportTreeMismatch,
+    real_number,
+    whole_number,
+)
 from .imgio import GrayImage, Rect, _adopt
 from .stratify import QuadTree
 
@@ -48,7 +55,6 @@ __all__ = [
     "LeafThreshold",
     "ThresholdReport",
     "objective",
-    "nelder_mead_1d",
     "optimize_leaf",
     "oracle_best_threshold",
     "threshold_tree",
@@ -73,12 +79,14 @@ class ObjectiveWeights:
     adaptive: bool = True
 
     def __post_init__(self):
-        s = self.w_var + self.w_ent
+        s = real_number("w_var", self.w_var) + real_number("w_ent", self.w_ent)
         if not (self.w_var >= 0 and self.w_ent >= 0 and 0 < s < math.inf):
             raise InvalidArgument("weights must be nonnegative with finite positive sum")
 
-    def effective(self, complexity: float) -> tuple:
-        """(w_var, w_ent) actually applied; always nonnegative, summing to 1."""
+    def effective(self, complexity) -> tuple:
+        """(w_var, w_ent) actually applied; always nonnegative, summing to 1.
+        Elementwise over an array of complexities (non-adaptive weights stay
+        scalars)."""
         s = self.w_var + self.w_ent
         wv, we = self.w_var / s, self.w_ent / s
         if self.adaptive:
@@ -98,7 +106,7 @@ class SimplexParams:
         object.__setattr__(self, "max_iter", whole_number("max_iter", self.max_iter))
         if self.max_iter < 1:
             raise InvalidArgument("max_iter must be >= 1")
-        if not self.diameter_tol > 0:
+        if not real_number("diameter_tol", self.diameter_tol) > 0:
             raise InvalidArgument("diameter_tol must be positive")
 
 
@@ -223,21 +231,23 @@ def objective(hist, t, weights: ObjectiveWeights = ObjectiveWeights(), complexit
     return tab.evaluate(0, t, wv, we)
 
 
-def _simplex(probe, x0: np.ndarray, params: SimplexParams):
-    """`nelder_mead_1d` over many rows in lockstep.
+def _simplex(tab: _Tables, w_var, w_ent, params: SimplexParams):
+    """A 2-vertex Nelder-Mead maximization of J over all rows of `tab` in
+    lockstep; the weights are (rows, 1) columns.
 
-    Row i maximizes its own function from {x0[i], x0[i] + 16}.
-    `probe(rows, pts)` returns the (r, c) values of the rows named by the
-    (r, 1) index `rows` at the points pts (r, c). Each iteration evaluates
-    the reflection, expansion and contraction points of every active row in
-    one call, and per-row masks take the branch the scalar loop would; the
-    probes are pure, so the points a row does not take change nothing. A
-    row retires when its vertex gap falls below `diameter_tol` or at
-    `max_iter`. Returns arrays (x_best, f_best, iterations, converged).
+    Row i starts from {mean_i, mean_i + 16}. Reflection 1, expansion 2 and
+    contraction 0.5 are fixed; with two vertices the contraction point is
+    also the shrink point, so a contraction always replaces the worst
+    vertex. Each iteration probes the reflection, expansion and contraction
+    points of every active row in one call, and per-row masks take the
+    branch a scalar loop would; the probes are pure, so the points a row
+    does not take change nothing. A row retires when its vertex gap falls
+    below `diameter_tol` or at `max_iter`. Returns arrays (x_best,
+    iterations, converged).
     """
-    v0 = np.array(x0, dtype=np.float64)  # a copy: retired rows are written into it
+    v0 = tab.mean.copy()  # retired rows are written into it
     v1 = v0 + 16.0
-    f0, f1 = probe(np.arange(len(v0))[:, None], np.stack([v0, v1], axis=1)).T
+    f0, f1 = tab.probe(np.arange(len(v0))[:, None], np.stack([v0, v1], axis=1), w_var, w_ent).T
     iters = np.zeros(len(v0), dtype=np.int64)
     idx = np.flatnonzero(np.abs(v0 - v1) >= params.diameter_tol)
     b, w, fb, fw = v0[idx], v1[idx], f0[idx], f1[idx]  # the active rows' vertices
@@ -250,7 +260,7 @@ def _simplex(probe, x0: np.ndarray, params: SimplexParams):
         # reflection, expansion and contraction; b - d/2 is b + (w - b)/2 exactly
         pts = b[:, None] + (b - w)[:, None] * np.array([1.0, 2.0, -0.5])
         xr, xe, xc = pts.T
-        fr, fe, fc = probe(idx[:, None], pts).T
+        fr, fe, fc = tab.probe(idx[:, None], pts, w_var[idx], w_ent[idx]).T
         up = fr > fb
         take_e = up & (fe > fr)
         take_c = ~up & ~(fr > fw)
@@ -263,33 +273,7 @@ def _simplex(probe, x0: np.ndarray, params: SimplexParams):
             done = idx[gone]
             v0[done], v1[done], f0[done], f1[done] = b[gone], w[gone], fb[gone], fw[gone]
             idx, b, w, fb, fw = idx[keep], b[keep], w[keep], fb[keep], fw[keep]
-    swap = f1 > f0
-    return (
-        np.where(swap, v1, v0),
-        np.where(swap, f1, f0),
-        iters,
-        np.abs(v0 - v1) < params.diameter_tol,
-    )
-
-
-def nelder_mead_1d(
-    f: Callable[[float], float], x0: float, params: SimplexParams = SimplexParams()
-):
-    """Maximize f with a 2-vertex Nelder-Mead simplex started at {x0, x0+16}.
-
-    Reflection 1, expansion 2 and contraction 0.5 are fixed. With two
-    vertices the contraction point is also the shrink point, so a contraction
-    always replaces the worst vertex. This is the one-row case of the
-    lockstep simplex, so f is called on the reflection, expansion and
-    contraction point of every iteration. Returns (x_best, f_best,
-    iterations, converged).
-    """
-
-    def probe(rows, pts):
-        return np.array([[f(x) for x in row] for row in pts.tolist()], dtype=np.float64)
-
-    x, fx, iters, converged = _simplex(probe, [float(x0)], params)
-    return x.item(), fx.item(), int(iters[0]), bool(converged[0])
+    return np.where(f1 > f0, v1, v0), iters, np.abs(v0 - v1) < params.diameter_tol
 
 
 def _refine(tab: _Tables, x_star: np.ndarray, w_var, w_ent):
@@ -323,19 +307,16 @@ def _optimize_rows(hists, complexities, weights: ObjectiveWeights, params: Simpl
     Up to `_BLOCK_ROWS` rows at a time share one table pass, one lockstep
     simplex and one lockstep refinement.
     """
+    complexities = np.asarray(complexities, dtype=np.float64)
     out = []
     for lo in range(0, len(hists), _BLOCK_ROWS):
         tab = _Tables(hists[lo : lo + _BLOCK_ROWS])
-        eff = np.array([weights.effective(c) for c in complexities[lo : lo + _BLOCK_ROWS]]).T
-        wv, we = eff[:, :, None]
-        x_star, _, iters, converged = _simplex(
-            lambda rows, pts: tab.probe(rows, pts, wv[rows[:, 0]], we[rows[:, 0]]),
-            tab.mean,
-            params,
-        )
+        c = complexities[lo : lo + _BLOCK_ROWS]
+        wv, we = (np.broadcast_to(w, c.shape)[:, None] for w in weights.effective(c))
+        x_star, iters, converged = _simplex(tab, wv, we, params)
         t, jt = _refine(tab, x_star, wv, we)
-        out += zip(t.tolist(), x_star.tolist(), jt.tolist(), *eff.tolist(), iters.tolist(),
-                   converged.tolist())
+        out += zip(t.tolist(), x_star.tolist(), jt.tolist(), wv[:, 0].tolist(),
+                   we[:, 0].tolist(), iters.tolist(), converged.tolist())
     return out
 
 
@@ -364,6 +345,12 @@ def oracle_best_threshold(
     return t, float(j[t])
 
 
+def _check_dims(img: GrayImage, tree: QuadTree):
+    if (img.width, img.height) != tree.image_dims:
+        tw, th = tree.image_dims
+        raise DimensionMismatch(f"image is {img.width}x{img.height}, the tree {tw}x{th}")
+
+
 def threshold_tree(
     img: GrayImage,
     tree: QuadTree,
@@ -376,7 +363,8 @@ def threshold_tree(
     histogram the tree keeps for the leaf's source node, so no pixel is
     binned again here.
     """
-    complexities = (tree.entropy_bits[tree.sources] / 8.0).tolist()
+    _check_dims(img, tree)
+    complexities = tree.entropy_bits[tree.sources] / 8.0
     found = _optimize_rows(tree.source_hists, complexities, weights, params)
     rects, sources = tree.rects.tolist(), tree.sources.tolist()
     entries = []
@@ -388,6 +376,7 @@ def threshold_tree(
 
 def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImage:
     """Stitch the per-leaf binarizations into a full-size {0, 255} mask."""
+    _check_dims(img, tree)
     if len(tree.leaves) != len(report.entries):
         raise ReportTreeMismatch(f"{len(report.entries)} entries for {len(tree.leaves)} leaves")
     mask = np.zeros((img.height, img.width), dtype=np.uint8)

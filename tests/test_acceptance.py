@@ -41,7 +41,7 @@ from stratseg import (
     train_gda,
 )
 from stratseg.cli import main as cli_main
-from stratseg.stratify import iter_nodes, stats_from_histogram
+from stratseg.stratify import _stats, iter_nodes
 
 from pencil_reference import full_pencil_discriminants
 
@@ -71,7 +71,7 @@ def test_criterion_1_threshold_oracle_equivalence():
         pdf += (1 - frac) * np.exp(-0.5 * ((g - m1) / s1) ** 2) / s1
         hist = np.rint(5000 * pdf / pdf.sum()).astype(np.int64)
         hist[int(m0)] += 1
-        complexity = stats_from_histogram(hist).entropy_bits / 8.0
+        complexity = _stats(hist)[3].item() / 8.0
         res = optimize_leaf(hist, complexity)
         t_or, j_or = oracle_best_threshold(hist, complexity)
         ratios.append(1.0 if j_or == 0 else res.objective_value / j_or)

@@ -15,8 +15,11 @@ from stratseg import (
     GrayImage,
     KernelSpec,
     LabeledDataset,
+    ObjectiveWeights,
     PhantomSpec,
     ShapeSpec,
+    SimplexParams,
+    SplitPolicy,
     load_model,
     load_pgm,
     save_dataset_csv,
@@ -24,7 +27,7 @@ from stratseg import (
     train_gda,
 )
 import stratseg
-from stratseg.cli import main
+from stratseg.cli import _kernel_spec, _segment_params, build_parser, main
 
 
 def run(args):
@@ -284,7 +287,9 @@ DEEP_JSON = "[" * 200000 + "]" * 200000  # nested past the recursion limit
 @pytest.mark.parametrize(
     "text",
     ["[1, 2]", '{"width": 16, "height": 16, "seed": -1, "noise_sigma": 3}',
-     '{"width": 8.5, "height": 16}', pytest.param(DEEP_JSON, id="deep nesting")],
+     '{"width": 8.5, "height": 16}', pytest.param(DEEP_JSON, id="deep nesting"),
+     # 727 TiB of float64 image, past any user address space: fails at once
+     pytest.param('{"width": 10000000, "height": 10000000}', id="huge")],
 )
 def test_cli_malformed_phantom_spec_reports_category(tmp_path, capsys, text):
     spec = tmp_path / "bad.json"
@@ -431,6 +436,14 @@ def test_cli_out_of_range_flag_reports_category(tmp_path, capsys, flags):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: InvalidArgument:")
     assert captured.out == ""
+
+
+def test_cli_defaults_are_the_parameter_classes_defaults():
+    args = build_parser().parse_args(["segment", "in.pgm", "--mask-out", "m", "--report-out", "r"])
+    assert _segment_params(args) == (SplitPolicy(), ObjectiveWeights(), SimplexParams())
+    args = build_parser().parse_args(["gda-train", "in.csv", "--model-out", "m"])
+    assert _kernel_spec(args) == KernelSpec()
+    assert args.discriminants is None
 
 
 @pytest.mark.parametrize("args", [["--help"], ["segment", "--help"]])

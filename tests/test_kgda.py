@@ -158,6 +158,10 @@ def test_kernel_spec_validation():
             KernelSpec("polynomial", **kwargs)
     spec = KernelSpec("polynomial", degree=3.0)
     assert spec.degree == 3 and isinstance(spec.degree, int)
+    for field in ("gamma", "coef"):
+        for value in ("x", "1", True, [1.0]):
+            with pytest.raises(InvalidArgument, match=f"{field} must be a number"):
+                KernelSpec("polynomial", **{field: value})
 
 
 # --- kernel means and scatter -------------------------------------------------

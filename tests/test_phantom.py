@@ -115,11 +115,26 @@ def test_spec_json_roundtrip():
         lambda: PhantomSpec.from_json('{"width": Infinity, "height": 10}'),
         lambda: ShapeSpec("ellipse", 0, 0, 1, 1, 125.5),
         lambda: ShapeSpec("ellipse", 0, 0, 1, 1, True),
+        lambda: ShapeSpec("ellipse", "1", 0, 1, 1, 10),
+        lambda: ShapeSpec("ellipse", 0, None, 1, 1, 10),
+        lambda: ShapeSpec("ellipse", 0, 0, True, 1, 10),
+        lambda: ShapeSpec("rectangle", 0, 0, 1, "2", 10),
+        lambda: PhantomSpec(10, 10, ramp_amplitude="x"),
+        lambda: PhantomSpec(10, 10, ramp_amplitude=True),
+        lambda: PhantomSpec(10, 10, noise_sigma="x"),
+        lambda: PhantomSpec(10, 10, noise_sigma=[1.0]),
     ],
 )
 def test_invalid_specs_rejected(mutate):
     with pytest.raises(InvalidSpec):
         mutate()
+
+
+def test_number_fields_keep_their_values():
+    shape = ShapeSpec("ellipse", 3, np.float32(2.5), 1, np.int64(2), 10)
+    assert (type(shape.cx), type(shape.cy), type(shape.ry)) == (int, np.float32, np.int64)
+    spec = PhantomSpec(10, 10, ramp_amplitude=4, noise_sigma=np.float64(1.5))
+    assert type(spec.ramp_amplitude) is int and type(spec.noise_sigma) is np.float64
 
 
 def test_whole_float_sizes_are_ints():

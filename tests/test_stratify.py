@@ -10,12 +10,11 @@ from stratseg import (
     SplitPolicy,
     build_quadtree,
     leaves,
-    region_complexity,
     region_histogram,
 )
 from stratseg.errors import InvalidArgument
 from stratseg.imgio import Rect
-from stratseg.stratify import _stats, iter_nodes, node_to_dict, stats_from_histogram
+from stratseg.stratify import _stats, iter_nodes, node_to_dict
 
 from quadtree_reference import (
     reference_build,
@@ -292,25 +291,14 @@ def test_split_requires_variance_above_threshold():
 
 
 def test_region_complexity_bounds_and_known_values():
-    flat = stats_from_histogram(np.eye(256, dtype=np.int64)[40] * 10)
-
-    class N:
-        stats = flat
-
-    assert region_complexity(N()) == 0.0
-    uniform = stats_from_histogram(np.ones(256, dtype=np.int64))
-
-    class U:
-        stats = uniform
-
-    assert region_complexity(U()) == pytest.approx(1.0)
+    """A region's complexity, entropy / 8 as `threshold_tree` takes it, is 0
+    for one level, 1 for all 256 levels and 1/8 for two equal levels."""
     two = np.zeros(256, dtype=np.int64)
     two[10] = two[200] = 50
-
-    class T:
-        stats = stats_from_histogram(two)
-
-    assert region_complexity(T()) == pytest.approx(1.0 / 8.0)
+    hists = np.stack([np.eye(256, dtype=np.int64)[40] * 10, np.ones(256, dtype=np.int64), two])
+    complexity = _stats(hists)[3] / 8.0
+    assert complexity[0] == 0.0
+    assert complexity[1:] == pytest.approx([1.0, 1.0 / 8.0])
 
 
 def test_build_is_deterministic():
@@ -334,6 +322,10 @@ def test_policy_validation():
         for value in (2.5, True, "3", float("inf")):
             with pytest.raises(InvalidArgument, match=f"{field} must be a whole number"):
                 SplitPolicy(**{field: value})
+    for value in ("1", True, None):
+        with pytest.raises(InvalidArgument, match="var_threshold must be a number"):
+            SplitPolicy(var_threshold=value)
+    assert type(SplitPolicy(var_threshold=400).var_threshold) is int
     policy = SplitPolicy(max_depth=8.0, min_side=np.int64(4))
     assert (policy.max_depth, policy.min_side) == (8, 4)
     assert type(policy.max_depth) is int and type(policy.min_side) is int
@@ -424,7 +416,8 @@ def test_batched_stats_match_one_row_reductions(rows):
     for hist, (n, mean, variance, entropy) in zip(hists, got):
         expect = reference_stats(hist)
         assert _hex_stats(expect) == (int(n), mean.hex(), variance.hex(), entropy.hex())
-        assert _hex_stats(stats_from_histogram(hist)) == _hex_stats(expect)
+        one = [v.item() for v in _stats(hist)]
+        assert (int(one[0]), *(v.hex() for v in one[1:])) == _hex_stats(expect)
 
 
 def test_leaf_order_is_depth_first():

@@ -13,7 +13,6 @@ from stratseg import (
     SplitPolicy,
     ThresholdReport,
     build_quadtree,
-    nelder_mead_1d,
     objective,
     optimize_leaf,
     oracle_best_threshold,
@@ -21,8 +20,8 @@ from stratseg import (
     threshold_tree,
 )
 from stratseg import imgio, stratify
-from stratseg.errors import EmptyHistogram, InvalidArgument, ReportTreeMismatch
-from stratseg.stratify import stats_from_histogram
+from stratseg.errors import DimensionMismatch, EmptyHistogram, InvalidArgument, ReportTreeMismatch
+from stratseg.stratify import _stats
 from stratseg.threshopt import _BLOCK_ROWS, _optimize_rows, _Tables
 
 from objective_reference import (
@@ -149,7 +148,7 @@ def criterion_1_histograms():
         pdf += (1 - frac) * np.exp(-0.5 * ((g - m1) / s1) ** 2) / s1
         hist = np.rint(5000 * pdf / pdf.sum()).astype(np.int64)
         hist[int(m0)] += 1
-        yield hist, stats_from_histogram(hist).entropy_bits / 8.0
+        yield hist, _stats(hist)[3].item() / 8.0
 
 
 def seed_34_histograms(count=2000):
@@ -353,28 +352,19 @@ def test_effective_weights_normalized_and_adaptive():
     assert (wv, we) == pytest.approx((0.5, 0.5))
 
 
-def test_nelder_mead_on_smooth_quadratic():
-    f = lambda x: -((x - 100.0) ** 2)
-    x, fx, iters, converged = nelder_mead_1d(f, 20.0)
-    assert converged
-    assert abs(x - 100.0) <= 1.0
-    assert iters <= 200
-
-
 def test_nelder_mead_respects_max_iter():
     params = SimplexParams(max_iter=3, diameter_tol=1e-9)
-    _, _, iters, converged = nelder_mead_1d(lambda x: -abs(x - 90), 0.0, params)
-    assert iters == 3 and not converged
+    res = optimize_leaf(bimodal_hist(np.random.default_rng(37)), 1.0, FIXED, params)
+    assert res.iterations == 3 and not res.converged
 
 
 def test_nelder_mead_plateau_returns_plateau_value():
     hist = spike_hist((50, 100), (200, 100))
     t, j = oracle_best_threshold(hist, 1.0, VAR_ONLY)
-    x, fx, _, converged = nelder_mead_1d(
-        lambda s: objective(hist, s, VAR_ONLY), 125.0
-    )
-    assert fx == pytest.approx(j, abs=1e-12)
-    assert 50.0 <= x <= 200.0
+    res = optimize_leaf(hist, 1.0, VAR_ONLY)  # the simplex starts at the mean, 125
+    assert res.converged
+    assert objective(hist, res.continuous_optimum, VAR_ONLY) == pytest.approx(j, abs=1e-12)
+    assert 50.0 <= res.continuous_optimum <= 200.0
 
 
 def test_optimize_leaf_constant_region():
@@ -496,6 +486,19 @@ def test_segment_rejects_mismatched_report():
         segment(img, tree, report)
 
 
+@pytest.mark.parametrize("size", [(96, 80), (32, 32)])
+def test_wrong_size_image_is_a_dimension_mismatch(size):
+    img = GrayImage(np.random.default_rng(38).integers(0, 256, (64, 64), dtype=np.uint8))
+    tree = build_quadtree(img, SplitPolicy(min_side=8, var_threshold=0.0))
+    report = threshold_tree(img, tree)
+    other = GrayImage(np.zeros(size[::-1], dtype=np.uint8))
+    message = f"image is {size[0]}x{size[1]}, the tree 64x64"
+    with pytest.raises(DimensionMismatch, match=message):
+        threshold_tree(other, tree)
+    with pytest.raises(DimensionMismatch, match=message):
+        segment(other, tree, report)
+
+
 def test_segment_matches_where_reference():
     rng = np.random.default_rng(39)
     px = rng.integers(0, 256, size=(83, 61), dtype=np.uint8)
@@ -574,6 +577,9 @@ def test_simplex_params_validation():
     for value in (2.5, True, "3", float("nan")):
         with pytest.raises(InvalidArgument, match="max_iter must be a whole number"):
             SimplexParams(max_iter=value)
+    for value in ("1", True, None):
+        with pytest.raises(InvalidArgument, match="diameter_tol must be a number"):
+            SimplexParams(diameter_tol=value)
     params = SimplexParams(max_iter=8.0)
     assert params.max_iter == 8 and type(params.max_iter) is int
 
@@ -583,6 +589,10 @@ def test_objective_weights_validation():
         ObjectiveWeights(w_var=-0.1, w_ent=0.5)
     with pytest.raises(ValueError):
         ObjectiveWeights(w_var=0.0, w_ent=0.0)
+    for field in ("w_var", "w_ent"):
+        for value in ("1", True, None):
+            with pytest.raises(InvalidArgument, match=f"{field} must be a number"):
+                ObjectiveWeights(**{field: value})
 
 
 def test_segment_mask_is_read_only():
