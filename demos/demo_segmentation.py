@@ -23,7 +23,6 @@ from stratseg import (
     ShapeSpec,
     build_quadtree,
     generate_phantom,
-    leaves,
     oracle_best_threshold,
     save_pgm,
     seg_metrics,
@@ -81,7 +80,7 @@ mask = segment(img, tree, report)
 m = seg_metrics(mask, truth)
 
 thresholds = [e.threshold for e in report.entries]
-print(f"quadtree: {len(leaves(tree))} leaves, per-leaf thresholds span "
+print(f"quadtree: {len(tree.leaves)} leaves, per-leaf thresholds span "
       f"{min(thresholds)}..{max(thresholds)} "
       f"(the spread is the ramp being tracked)")
 print(f"stratified: distortion={m.distortion:.4f} Dice={m.reliability:.4f}")

@@ -1,6 +1,6 @@
 """Quadtree-stratified adaptive threshold segmentation and kernel GDA."""
 
-from .imgio import GrayImage, Rect, load_pgm, region_histogram, save_pgm
+from .imgio import GrayImage, Rect, load_pgm, save_pgm
 from .kgda import (
     GdaModel,
     KernelSpec,
@@ -19,7 +19,7 @@ from .kgda import (
     train_gda,
 )
 from .phantom import PhantomSpec, SegMetrics, ShapeSpec, generate_phantom, seg_metrics
-from .stratify import QuadTree, RegionNode, SplitPolicy, build_quadtree, leaves
+from .stratify import QuadTree, RegionNode, SplitPolicy, build_quadtree
 from .threshopt import (
     LeafThreshold,
     ObjectiveWeights,

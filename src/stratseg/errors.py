@@ -29,10 +29,6 @@ class UnsupportedMaxval(StratsegError):
     """PGM maxval exceeds 255."""
 
 
-class RectOutOfBounds(StratsegError):
-    """Rectangle does not fit inside the image."""
-
-
 # --- thresholding ---
 
 class EmptyHistogram(StratsegError):

@@ -1,4 +1,4 @@
-"""Grayscale images, bit-exact PGM I/O and region histograms.
+"""Grayscale images, bit-exact PGM I/O and banded histograms.
 
 Pixels are 8-bit, stored row-major with the origin at the top-left corner.
 Only single-channel PGM with maxval <= 255 is handled; the canonical writer
@@ -15,12 +15,11 @@ import numpy as np
 from .errors import (
     InvalidArgument,
     MalformedHeader,
-    RectOutOfBounds,
     TruncatedData,
     UnsupportedMaxval,
 )
 
-__all__ = ["GrayImage", "Rect", "load_pgm", "save_pgm", "region_histogram"]
+__all__ = ["GrayImage", "Rect", "load_pgm", "save_pgm"]
 
 _BAND_PIXELS = 1 << 18  # pixels per bincount call in bin_rows: 64 rows of 4096
 
@@ -193,10 +192,3 @@ def bin_rows(pixels: np.ndarray, key=None, nbins: int = 256) -> np.ndarray:
         else:
             counts += binned
     return counts
-
-
-def region_histogram(img: GrayImage, r: Rect) -> np.ndarray:
-    """256-bin intensity histogram of the pixels inside `r` (int64 counts)."""
-    if r.x0 + r.w > img.width or r.y0 + r.h > img.height:
-        raise RectOutOfBounds(f"{r} outside {img.width}x{img.height} image")
-    return bin_rows(img.pixels[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w])

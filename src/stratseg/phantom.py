@@ -26,6 +26,15 @@ from .imgio import GrayImage
 __all__ = ["ShapeSpec", "PhantomSpec", "SegMetrics", "generate_phantom", "seg_metrics"]
 
 
+def _finite(value) -> bool:
+    """math.isfinite, and False for an int beyond the float64 range, which
+    it cannot convert."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ShapeSpec:
     """One foreground shape: an axis-aligned ellipse or rectangle.
@@ -47,9 +56,9 @@ class ShapeSpec:
             raise InvalidSpec(f"unknown shape kind {self.kind!r}")
         for name in ("cx", "cy", "rx", "ry"):
             real_number(name, getattr(self, name), InvalidSpec)
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+        if not (_finite(self.cx) and _finite(self.cy)):
             raise InvalidSpec("shape center must be finite")
-        if not (0 < self.rx < math.inf and 0 < self.ry < math.inf):
+        if not (0 < self.rx and _finite(self.rx) and 0 < self.ry and _finite(self.ry)):
             raise InvalidSpec("shape extents must be positive and finite")
         object.__setattr__(self, "intensity", whole_number("intensity", self.intensity, InvalidSpec))
         if not (0 <= self.intensity <= 255):
@@ -80,9 +89,10 @@ class PhantomSpec:
             raise InvalidSpec("background must lie in [0, 255]")
         if self.seed < 0:
             raise InvalidSpec("seed must be nonnegative")
-        if not math.isfinite(real_number("ramp_amplitude", self.ramp_amplitude, InvalidSpec)):
+        if not _finite(real_number("ramp_amplitude", self.ramp_amplitude, InvalidSpec)):
             raise InvalidSpec("ramp amplitude must be finite")
-        if not 0 <= real_number("noise_sigma", self.noise_sigma, InvalidSpec) < math.inf:
+        noise = real_number("noise_sigma", self.noise_sigma, InvalidSpec)
+        if not (noise >= 0 and _finite(noise)):
             raise InvalidSpec("noise sigma must be nonnegative and finite")
         object.__setattr__(self, "shapes", tuple(self.shapes))
 
@@ -101,8 +111,8 @@ class PhantomSpec:
                 height=doc["height"],
                 background=doc.get("background", 0),
                 shapes=shapes,
-                ramp_amplitude=float(doc.get("ramp_amplitude", 0.0)),
-                noise_sigma=float(doc.get("noise_sigma", 0.0)),
+                ramp_amplitude=doc.get("ramp_amplitude", 0.0),
+                noise_sigma=doc.get("noise_sigma", 0.0),
                 seed=doc.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

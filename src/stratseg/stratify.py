@@ -36,7 +36,6 @@ __all__ = [
     "RegionNode",
     "QuadTree",
     "build_quadtree",
-    "leaves",
 ]
 
 _GRID_DEPTH = 6  # tile grid of at most 64 x 64 tiles: 8 MiB of int64 counts
@@ -113,7 +112,8 @@ class RegionNode:
 class QuadTree:
     """A quadtree as arrays over its nodes in level order (the children of
     each split node are four consecutive nodes, NW, NE, SW, SE); `root` is a
-    RegionNode view, built on first use."""
+    RegionNode view, built on first use, kept only until the benchmark counts
+    nodes and leaves from the arrays."""
 
     image_dims: tuple  # (width, height)
     policy: SplitPolicy
@@ -126,7 +126,7 @@ class QuadTree:
     first_child: np.ndarray = field(repr=False)  # index of the NW child; -1 for a leaf
     leaves: np.ndarray = field(repr=False)  # leaf node indices, depth-first NW, NE, SW, SE
     # the nodes threshold_tree reads (see `_sources`), ascending, and their
-    # (len(sources), 256) int64 histograms, as `region_histogram` counts them
+    # (len(sources), 256) int64 histograms, equal to direct counts
     sources: np.ndarray = field(repr=False)
     source_hists: np.ndarray = field(repr=False)
     leaf_source: np.ndarray = field(repr=False)  # each leaf's row of sources
@@ -262,20 +262,6 @@ def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadT
     return QuadTree(
         dims, policy, rects, depth, *stats, first_child, leaf, sources, kept, leaf_source
     )
-
-
-def leaves(tree: QuadTree) -> list:
-    """Leaves in depth-first NW, NE, SW, SE order; they tile the image."""
-    return [node for node in iter_nodes(tree) if node.is_leaf]
-
-
-def iter_nodes(tree: QuadTree):
-    """All nodes, depth-first preorder."""
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
 
 
 def node_to_dict(tree: QuadTree) -> dict:

@@ -17,16 +17,13 @@ its source nodes; `optimize_leaf` and `objective` are the one-row case. The
 tree decides which leaves there are, their order and each leaf's source
 row; `threshold_tree` only reads that plan.
 
-There is one formula for J (`_Tables._j`), over values gathered from the
-cumulative tables; it takes the square as an argument. Simplex probes
-(`_Tables.probe`) square with `np.float_power(d, 2.0)`, which calls C pow()
-like a Python float's `d ** 2`, so they give the bits of J computed in plain
-Python floats; `d * d`, which an array `** 2` and `np.power` compute, can
-differ in the last bit. Logs are array `np.log`, which gives the bits of
-scalar `np.log` (`math.log` differs on a few inputs); a test pins both. The refinement reads J
-at the knots of a +-3 window around each row's rounded optimum, and then one
-knot at a time while a row still climbs; at a knot the interpolation adds
-0 * diff, and J squares with `d * d` there (`_Tables.at_knots`). The
+There is one formula for J (`_Tables.evaluate`), over values gathered from
+the cumulative tables: simplex probes and knots share it, and it squares by
+multiplication. Logs are array `np.log`, which gives the bits of scalar
+`np.log` (`math.log` differs on a few inputs); a test pins it. The
+refinement reads J at the knots of a +-3 window around each row's rounded
+optimum, and then one knot at a time while a row still climbs; at a knot the
+interpolation adds 0 * diff (`_Tables.at_knots`). The
 exhaustive `oracle_best_threshold`, which backs every optimizer claim,
 reads all 256 knots the same way."""
 
@@ -178,9 +175,10 @@ class _Tables:
         v = lo + frac * (hi - lo)
         return v[..., 0], v[..., 1], v[..., 2]
 
-    def _j(self, rows, w, s, a, w_var, w_ent, square) -> np.ndarray:
-        """J from arrays of interpolated cumulative weight, sum and entropy;
-        `rows` indexes the per-row totals so that they broadcast against w."""
+    def evaluate(self, rows, t, w_var, w_ent) -> np.ndarray:
+        """J of `rows` (a row, or an index that broadcasts against t) on an
+        array of t; t is clamped into [0, 255]."""
+        w, s, a = self._at(rows, np.asarray(t, dtype=np.float64))
         n, s_tot, a_tot = self.n[rows], self.s_tot[rows], self.a_tot[rows]
         var_tot = self.var_tot[rows]
         om0 = w / n
@@ -189,46 +187,27 @@ class _Tables:
         with np.errstate(divide="ignore", invalid="ignore"):
             mu0 = np.where(w > 0, s / w, 0.0)
             mu1 = np.where(om1 > 0, (s_tot - s) / (n - w), 0.0)
-            bcv = om0 * om1 * square(mu0 - mu1)
+            bcv = om0 * om1 * np.square(mu0 - mu1)
             v = np.where(var_tot > 0, bcv / var_tot, 0.0)
             h0 = np.where(om0 > 0, np.log(om0) + a / om0, 0.0)
             h1 = np.where(om1 > 0, np.log(om1) + (a_tot - a) / om1, 0.0)
         e = np.clip((h0 + h1) / (2.0 * _LN256), 0.0, 1.0)
         return w_var * v + w_ent * e
 
-    def evaluate(self, rows, t, w_var, w_ent) -> np.ndarray:
-        """J of `rows` (a row, or an index that broadcasts against t) on an
-        array of t; t is clamped into [0, 255]."""
-        t = np.asarray(t, dtype=np.float64)
-        return self._j(rows, *self._at(rows, t), w_var, w_ent, np.square)
-
-    def probe(self, rows, t, w_var, w_ent) -> np.ndarray:
-        """J of each row of the (r, 1) index `rows` at the matching row of
-        the (r, c) points t, as a scalar probe computes it: the square is
-        C pow (see the module docstring). t is clamped into [0, 255]."""
-        return self._j(rows, *self._at(rows, t), w_var, w_ent, _pow2)
-
     def at_knots(self, rows, k, w_var, w_ent) -> np.ndarray:
         """J of `rows` at integer knots k; -inf where k is outside [0, 255]."""
         return np.where((k >= 0) & (k <= 255), self.evaluate(rows, k, w_var, w_ent), -np.inf)
-
-
-def _pow2(d):
-    # C pow(d, 2.0), the bits of a Python float's `d ** 2`; `d * d`, which
-    # np.power(d, 2.0) also computes, can differ from it in the last bit
-    return np.float_power(d, 2.0)
 
 
 def objective(hist, t, weights: ObjectiveWeights = ObjectiveWeights(), complexity: float = 1.0):
     """Weighted threshold objective J(t); accepts scalar or array t."""
     tab = _Tables(hist)
     wv, we = weights.effective(complexity)
-    if np.ndim(t) == 0:
-        t = float(t)
-        if t != t:
-            return math.nan
-        return tab.probe(np.zeros((1, 1), np.int64), np.full((1, 1), t), wv, we).item()
-    return tab.evaluate(0, t, wv, we)
+    scalar = np.ndim(t) == 0
+    if scalar and t != t:
+        return math.nan
+    j = tab.evaluate(0, t, wv, we)
+    return j.item() if scalar else j
 
 
 def _simplex(tab: _Tables, w_var, w_ent, params: SimplexParams):
@@ -247,7 +226,7 @@ def _simplex(tab: _Tables, w_var, w_ent, params: SimplexParams):
     """
     v0 = tab.mean.copy()  # retired rows are written into it
     v1 = v0 + 16.0
-    f0, f1 = tab.probe(np.arange(len(v0))[:, None], np.stack([v0, v1], axis=1), w_var, w_ent).T
+    f0, f1 = tab.evaluate(np.arange(len(v0))[:, None], np.stack([v0, v1], axis=1), w_var, w_ent).T
     iters = np.zeros(len(v0), dtype=np.int64)
     idx = np.flatnonzero(np.abs(v0 - v1) >= params.diameter_tol)
     b, w, fb, fw = v0[idx], v1[idx], f0[idx], f1[idx]  # the active rows' vertices
@@ -260,7 +239,7 @@ def _simplex(tab: _Tables, w_var, w_ent, params: SimplexParams):
         # reflection, expansion and contraction; b - d/2 is b + (w - b)/2 exactly
         pts = b[:, None] + (b - w)[:, None] * np.array([1.0, 2.0, -0.5])
         xr, xe, xc = pts.T
-        fr, fe, fc = tab.probe(idx[:, None], pts, w_var[idx], w_ent[idx]).T
+        fr, fe, fc = tab.evaluate(idx[:, None], pts, w_var[idx], w_ent[idx]).T
         up = fr > fb
         take_e = up & (fe > fr)
         take_c = ~up & ~(fr > fw)

@@ -72,7 +72,7 @@ class ReferenceTables:
             mu1 = np.where(
                 om1 > 0, (self.s_tot - s) / np.where(om1 > 0, self.n - w, 1.0), 0.0
             )
-            bcv = om0 * om1 * (mu0 - mu1) ** 2
+            bcv = om0 * om1 * np.square(mu0 - mu1)
             v = bcv / self.var_tot if self.var_tot > 0 else np.zeros_like(bcv)
             h0 = np.where(om0 > 0, np.log(np.where(om0 > 0, om0, 1.0)) + a / np.where(om0 > 0, om0, 1.0), 0.0)
             rest = self.a_tot - a
@@ -102,8 +102,8 @@ def probe_terms(tables, t):
 
 def reference_probe(tables, w_var, w_ent):
     """J of the tables' histogram at one real t (clamped into [0, 255]; NaN
-    gives NaN) in plain floats. The square is `** 2`, which is C pow like
-    numpy's float64 scalar power, and the logs go through `np.log`, because
+    gives NaN) in plain floats. The square is `d * d`, an IEEE multiply like
+    the library's `np.square`, and the logs go through `np.log`, because
     `math.log` differs in the last bit on a few inputs."""
     a_tot, var_tot = float(tables.a_tot), tables.var_tot
 
@@ -111,7 +111,7 @@ def reference_probe(tables, w_var, w_ent):
         if t != t:
             return math.nan
         d, om0, om1, a = probe_terms(tables, t)
-        bcv = om0 * om1 * d ** 2
+        bcv = om0 * om1 * (d * d)
         v = bcv / var_tot if var_tot > 0 else 0.0
         h0 = float(np.log(om0)) + a / om0 if om0 > 0 else 0.0
         h1 = float(np.log(om1)) + (a_tot - a) / om1 if om1 > 0 else 0.0

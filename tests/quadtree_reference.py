@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stratseg.imgio import Rect, bin_rows, region_histogram
+from stratseg.imgio import Rect, bin_rows
 from stratseg.stratify import RegionStats
 
 GRID_DEPTH = 6
@@ -64,7 +64,8 @@ class _TileGrid:
 
     def histogram(self, rect, depth):
         if depth > self.depth:
-            return region_histogram(self.img, rect)
+            sub = self.img.pixels[rect.y0 : rect.y0 + rect.h, rect.x0 : rect.x0 + rect.w]
+            return np.bincount(sub.ravel(), minlength=256)
         xs, ys = self.xs, self.ys
         tx, ty = xs.index(rect.x0), ys.index(rect.y0)
         tx1, ty1 = xs.index(rect.x0 + rect.w), ys.index(rect.y0 + rect.h)

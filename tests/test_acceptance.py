@@ -23,7 +23,6 @@ from stratseg import (
     classify_nearest_mean,
     compute_kernel_matrix,
     generate_phantom,
-    leaves,
     load_dataset_csv,
     load_model,
     load_pgm,
@@ -41,7 +40,7 @@ from stratseg import (
     train_gda,
 )
 from stratseg.cli import main as cli_main
-from stratseg.stratify import _stats, iter_nodes
+from stratseg.stratify import _stats
 
 from pencil_reference import full_pencil_discriminants
 
@@ -128,21 +127,20 @@ def test_criterion_2_quadtree_tiling():
         )
         tree = build_quadtree(img, policy)
         cover = np.zeros((h, w), dtype=np.int32)
-        for leaf in leaves(tree):
-            r = leaf.rect
-            cover[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] += 1
+        for x0, y0, lw, lh in tree.rects[tree.leaves].tolist():
+            cover[y0 : y0 + lh, x0 : x0 + lw] += 1
         if not np.all(cover == 1):
             tiling_ok = False
-        for node in iter_nodes(tree):
-            r = node.rect
-            sub = img.pixels[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w].astype(np.float64)
+        stats = zip(tree.rects.tolist(), tree.variance.tolist(), tree.entropy_bits.tolist())
+        for (x0, y0, nw, nh), node_var, node_ent in stats:
+            sub = img.pixels[y0 : y0 + nh, x0 : x0 + nw].astype(np.float64)
             var = float(np.mean((sub - sub.mean()) ** 2))
             counts = np.bincount(sub.astype(np.int64).ravel(), minlength=256)
             p = counts[counts > 0] / sub.size
             ent = float(-(p * np.log2(p)).sum())
-            if abs(node.stats.variance - var) > 1e-9 * max(var, 1.0):
+            if abs(node_var - var) > 1e-9 * max(var, 1.0):
                 stats_ok = False
-            if abs(node.stats.entropy_bits - ent) > 1e-9 * max(ent, 1.0):
+            if abs(node_ent - ent) > 1e-9 * max(ent, 1.0):
                 stats_ok = False
     ok = tiling_ok and stats_ok
     report(2, "quadtree tiling", ok, f"tiling {tiling_ok}, stats {stats_ok} over 200 cases")
@@ -175,9 +173,8 @@ def test_criterion_3_stratified_segmentation_on_ramped_phantom():
     m = seg_metrics(mask, truth)
 
     # global single-threshold baseline via the exhaustive oracle on the root
-    root = tree.root
     hist = np.bincount(img.pixels.ravel(), minlength=256)
-    t_global, _ = oracle_best_threshold(hist, root.stats.entropy_bits / 8.0)
+    t_global, _ = oracle_best_threshold(hist, tree.entropy_bits[0] / 8.0)
     global_mask = GrayImage(
         np.where(img.pixels <= t_global, 0, 255).astype(np.uint8)
     )

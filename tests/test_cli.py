@@ -289,7 +289,13 @@ DEEP_JSON = "[" * 200000 + "]" * 200000  # nested past the recursion limit
     ["[1, 2]", '{"width": 16, "height": 16, "seed": -1, "noise_sigma": 3}',
      '{"width": 8.5, "height": 16}', pytest.param(DEEP_JSON, id="deep nesting"),
      # 727 TiB of float64 image, past any user address space: fails at once
-     pytest.param('{"width": 10000000, "height": 10000000}', id="huge")],
+     pytest.param('{"width": 10000000, "height": 10000000}', id="huge"),
+     pytest.param('{"width": 4, "height": 4, "ramp_amplitude": "40"}', id="string ramp"),
+     pytest.param('{"width": 4, "height": 4, "noise_sigma": true}', id="bool noise"),
+     # integers beyond the float64 range, which JSON reads as Python ints
+     pytest.param('{"width": 4, "height": 4, "noise_sigma": 1%s}' % ("0" * 400), id="huge noise"),
+     pytest.param('{"width": 4, "height": 4, "shapes": [{"kind": "ellipse", "cx": 1, "cy": 1, '
+                  '"rx": 1%s, "ry": 1, "intensity": 9}]}' % ("0" * 400), id="huge rx")],
 )
 def test_cli_malformed_phantom_spec_reports_category(tmp_path, capsys, text):
     spec = tmp_path / "bad.json"
@@ -370,16 +376,96 @@ def test_cli_any_csv_text_exits_0_or_one_error_line(fuzz_dir, text, header):
     for args in (["gda-train", csv_path, "--model-out", out],
                  ["gda-eval", model, csv_path, "--out", out],
                  ["gda-project", model, csv_path, "--out", out]):
-        err = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("error")  # a warning would be a second stderr line
-            code = run(args + ["--header"] * header)
-        lines = err.getvalue().splitlines()
-        if code == 0:
-            assert lines == []
+        assert_exit_0_or_one_error_line(args + ["--header"] * header)
+
+
+def assert_exit_0_or_one_error_line(args):
+    """The CLI exits 0 with nothing on stderr, or 1 with one `error:` line;
+    any other exception fails the test as it leaves `main`."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code = run(args)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and len(lines) == 1 and re.match(r"error: [A-Za-z]+: ", lines[0])
+
+
+_PGM_TOKEN = st.sampled_from(
+    ["0", "1", "2", "3", "4", "7", "255", "256", "-1", "+2", "1.5", "x", "\u0663", "9" * 30]
+)
+_PGM_SEP = st.sampled_from([" ", "\n", "\t", "\r\n", " #c\n", "#"])
+
+
+@st.composite
+def pgm_bytes(draw):
+    """A P5 or P2 image up to 12 on a side, maybe cut short; or a 3x2 header
+    with any field, separator or sample swapped for a small or malformed
+    token; or any bytes."""
+    kind = draw(st.sampled_from(["image", "image", "fields", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=48))
+    if kind == "image":
+        w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        pixels = draw(st.binary(min_size=w * h, max_size=w * h))
+        sep = draw(_PGM_SEP.filter(lambda s: s != "#"))
+        if draw(st.booleans()):
+            data = f"P5{sep}{w} {h}{sep}255\n".encode() + pixels
         else:
-            assert code == 1 and len(lines) == 1 and re.match(r"error: [A-Za-z]+: ", lines[0])
+            data = f"P2{sep}{w} {h}{sep}255{sep}".encode() + " ".join(map(str, pixels)).encode()
+        return data[: len(data) - draw(st.sampled_from([0, 0, 0, 1, 3]))]
+    head = draw(st.sampled_from(["P5", "P2", "P2", "P6", ""]))
+    for field in ("3", "2", "255"):
+        head += draw(_PGM_SEP) + draw(st.one_of(st.just(field), _PGM_TOKEN))
+    head += draw(_PGM_SEP)
+    if draw(st.booleans()):
+        return head.encode() + draw(st.binary(max_size=12))
+    samples = st.lists(st.one_of(st.integers(0, 255).map(str), _PGM_TOKEN), max_size=8)
+    return (head + " ".join(draw(samples))).encode()
+
+
+def _numbers(high):
+    return st.one_of(st.integers(0, high), st.floats(0, high)).map(str)
+
+
+# each segment flag with values it accepts, from which one flag may stray
+_SEGMENT_FLAGS = {
+    "--max-depth": st.integers(0, 12).map(str),
+    "--min-side": st.integers(2, 6).map(str),
+    "--var-threshold": _numbers(5000),
+    "--w-var": _numbers(2),
+    "--w-ent": _numbers(2),
+    "--max-iter": st.integers(1, 300).map(str),
+    "--diameter-tol": st.floats(1e-9, 10).map(str),
+}
+_FLAG_VALUE = st.one_of(
+    st.sampled_from(["0", "1", "2", "12", "13", "-1", "0.5", "1e-300", "nan", "inf", "x", ""]),
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def segment_flags(draw):
+    """`--flag=value` arguments (so that a value such as -1 is not read as a
+    flag): each flag absent or accepted, then maybe one of them any value."""
+    values = {flag: draw(st.one_of(st.none(), good)) for flag, good in _SEGMENT_FLAGS.items()}
+    if draw(st.booleans()):
+        values[draw(st.sampled_from(list(values)))] = draw(_FLAG_VALUE)
+    args = [f"{flag}={value}" for flag, value in values.items() if value is not None]
+    return args + ["--no-adaptive"] * draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=pgm_bytes(), flags=segment_flags())
+def test_cli_any_pgm_bytes_and_flags_exit_0_or_one_error_line(fuzz_dir, data, flags):
+    image = fuzz_dir / "in.pgm"
+    image.write_bytes(data)
+    args = ["segment", image, "--mask-out", fuzz_dir / "m.pgm", "--report-out", fuzz_dir / "r.json"]
+    assert_exit_0_or_one_error_line(args + flags)
 
 
 def test_import_does_not_load_scipy():

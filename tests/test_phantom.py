@@ -123,6 +123,14 @@ def test_spec_json_roundtrip():
         lambda: PhantomSpec(10, 10, ramp_amplitude=True),
         lambda: PhantomSpec(10, 10, noise_sigma="x"),
         lambda: PhantomSpec(10, 10, noise_sigma=[1.0]),
+        lambda: PhantomSpec.from_json('{"width": 4, "height": 4, "ramp_amplitude": "40"}'),
+        lambda: PhantomSpec.from_json('{"width": 4, "height": 4, "noise_sigma": true}'),
+        lambda: PhantomSpec.from_json('{"width": 4, "height": 4, "ramp_amplitude": null}'),
+        lambda: PhantomSpec.from_json('{"width": 4, "height": 4, "noise_sigma": [1.0]}'),
+        lambda: PhantomSpec(10, 10, ramp_amplitude=-(10**400)),  # ints beyond float64
+        lambda: PhantomSpec(10, 10, noise_sigma=10**400),
+        lambda: ShapeSpec("ellipse", 10**400, 0, 1, 1, 10),
+        lambda: ShapeSpec("ellipse", 0, 0, 1, 10**400, 10),
     ],
 )
 def test_invalid_specs_rejected(mutate):
@@ -135,6 +143,18 @@ def test_number_fields_keep_their_values():
     assert (type(shape.cx), type(shape.cy), type(shape.ry)) == (int, np.float32, np.int64)
     spec = PhantomSpec(10, 10, ramp_amplitude=4, noise_sigma=np.float64(1.5))
     assert type(spec.ramp_amplitude) is int and type(spec.noise_sigma) is np.float64
+
+
+def test_integer_ramp_keeps_its_json_and_its_image():
+    """A spec file's numbers reach the constructor unchanged: an integer ramp
+    stays an int, is written back as `40`, and renders the float ramp's image."""
+    text = '{"width": 33, "height": 17, "ramp_amplitude": 40, "noise_sigma": 3}'
+    spec = PhantomSpec.from_json(text)
+    assert type(spec.ramp_amplitude) is int and type(spec.noise_sigma) is int
+    assert '"ramp_amplitude": 40,' in spec.to_json()
+    assert PhantomSpec.from_json(spec.to_json()) == spec
+    floats = PhantomSpec(33, 17, ramp_amplitude=40.0, noise_sigma=3.0)
+    assert generate_phantom(spec)[0] == generate_phantom(floats)[0]
 
 
 def test_whole_float_sizes_are_ints():

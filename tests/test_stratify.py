@@ -5,16 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from stratseg import (
-    GrayImage,
-    SplitPolicy,
-    build_quadtree,
-    leaves,
-    region_histogram,
-)
+from stratseg import GrayImage, SplitPolicy, build_quadtree
 from stratseg.errors import InvalidArgument
 from stratseg.imgio import Rect
-from stratseg.stratify import _stats, iter_nodes, node_to_dict
+from stratseg.stratify import RegionStats, _stats, node_to_dict
 
 from quadtree_reference import (
     reference_build,
@@ -66,16 +60,15 @@ def test_constant_image_single_leaf():
 
 def test_quadrant_image_splits_once():
     tree = build_quadtree(quadrant_image(), SplitPolicy(min_side=8))
-    lv = leaves(tree)
+    lv = tree.leaves.tolist()
     assert len(lv) == 4
     # NW, NE, SW, SE order with the expected rectangles and flat stats
     expect = [(0, 0, 0.0), (8, 0, 85.0), (0, 8, 170.0), (8, 8, 255.0)]
-    for leaf, (x0, y0, mean) in zip(lv, expect):
-        assert (leaf.rect.x0, leaf.rect.y0) == (x0, y0)
-        assert (leaf.rect.w, leaf.rect.h) == (8, 8)
-        assert leaf.stats.variance == 0.0
-        assert leaf.stats.mean == mean
-        assert leaf.depth == 1
+    for i, (x0, y0, mean) in zip(lv, expect):
+        assert tree.rects[i].tolist() == [x0, y0, 8, 8]
+        assert tree.variance[i] == 0.0
+        assert tree.mean[i] == mean
+        assert tree.depth[i] == 1
 
 
 def test_root_stats_hand_computed():
@@ -117,9 +110,8 @@ def test_leaves_tile_image_exactly():
         img = random_image(rng)
         tree = build_quadtree(img, random_policy(rng))
         cover = np.zeros((img.height, img.width), dtype=np.int32)
-        for leaf in leaves(tree):
-            r = leaf.rect
-            cover[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] += 1
+        for x0, y0, w, h in tree.rects[tree.leaves].tolist():
+            cover[y0 : y0 + h, x0 : x0 + w] += 1
         assert np.all(cover == 1)
 
 
@@ -152,13 +144,12 @@ def test_leaves_tile_any_image_under_any_policy(img, policy):
     per pixel of its rect, and so does each histogram the tree keeps."""
     tree = build_quadtree(img, policy)
     cover = np.zeros((img.height, img.width), dtype=np.int32)
-    for leaf in leaves(tree):
-        r = leaf.rect
-        cover[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] += 1
-        assert leaf.stats.count == r.area
+    for x0, y0, w, h in tree.rects[tree.leaves].tolist():
+        cover[y0 : y0 + h, x0 : x0 + w] += 1
     assert np.all(cover == 1)
-    areas = tree.rects[tree.sources, 2] * tree.rects[tree.sources, 3]
-    assert np.array_equal(tree.source_hists.sum(axis=1), areas)
+    areas = tree.rects[:, 2] * tree.rects[:, 3]
+    assert np.array_equal(tree.count[tree.leaves], areas[tree.leaves])
+    assert np.array_equal(tree.source_hists.sum(axis=1), areas[tree.sources])
     assert tree.source_hists.min(initial=0) >= 0
 
 
@@ -167,19 +158,24 @@ def test_node_stats_match_direct_pixel_computation():
     for _ in range(10):
         img = random_image(rng)
         tree = build_quadtree(img, random_policy(rng))
-        for node in iter_nodes(tree):
-            r = node.rect
-            sub = img.pixels[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w].astype(np.float64)
-            assert node.stats.count == sub.size
-            assert node.stats.mean == pytest.approx(sub.mean(), rel=1e-12, abs=1e-12)
-            assert node.stats.variance == pytest.approx(
+        for (x0, y0, w, h), stats in zip(tree.rects.tolist(), node_stats(tree)):
+            sub = img.pixels[y0 : y0 + h, x0 : x0 + w].astype(np.float64)
+            assert stats.count == sub.size
+            assert stats.mean == pytest.approx(sub.mean(), rel=1e-12, abs=1e-12)
+            assert stats.variance == pytest.approx(
                 np.mean((sub - sub.mean()) ** 2), rel=1e-9, abs=1e-9
             )
             counts = np.bincount(sub.astype(np.int64).ravel(), minlength=256)
             p = counts[counts > 0] / sub.size
-            assert node.stats.entropy_bits == pytest.approx(
+            assert stats.entropy_bits == pytest.approx(
                 -(p * np.log2(p)).sum(), rel=1e-12, abs=1e-12
             )
+
+
+def node_stats(tree):
+    """The RegionStats of every node, in level order, read off the arrays."""
+    columns = (tree.count, tree.mean, tree.variance, tree.entropy_bits)
+    return [RegionStats(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def disk_image(w, h):
@@ -215,9 +211,10 @@ def assert_sources_equal_direct_counts(img, tree):
     builder's threshold sources were, each equal to a direct count."""
     kept = {}
     for i, hist in zip(tree.sources.tolist(), tree.source_hists):
-        rect = Rect(*tree.rects[i].tolist())
-        assert np.array_equal(hist, region_histogram(img, rect))
-        kept[rect] = hist
+        x0, y0, w, h = tree.rects[i].tolist()
+        sub = img.pixels[y0 : y0 + h, x0 : x0 + w]
+        assert np.array_equal(hist, np.bincount(sub.ravel(), minlength=256))
+        kept[Rect(x0, y0, w, h)] = hist
     expect = reference_sources(reference_build(img, tree.policy), tree.policy.var_threshold)
     assert kept.keys() == expect.keys()
 
@@ -226,8 +223,7 @@ def assert_sources_equal_direct_counts(img, tree):
 def test_node_histograms_below_the_tile_grid_equal_direct_counts(max_depth):
     img = disk_image(600, 520)
     tree = build_quadtree(img, SplitPolicy(max_depth=max_depth, min_side=2, var_threshold=0.0))
-    nodes = list(iter_nodes(tree))
-    assert max(node.depth for node in nodes) == 8  # 520 rows: 3-row nodes at depth 8
+    assert tree.depth.max() == 8  # 520 rows: 3-row nodes at depth 8
     assert tree.depth[tree.sources].max() == 8
     assert_sources_equal_direct_counts(img, tree)
 
@@ -284,10 +280,9 @@ def test_split_requires_variance_above_threshold():
         img = random_image(rng)
         policy = random_policy(rng)
         tree = build_quadtree(img, policy)
-        for node in iter_nodes(tree):
-            if node.children:
-                assert node.stats.variance > policy.var_threshold
-                assert node.depth < policy.max_depth
+        split = tree.first_child >= 0
+        assert np.all(tree.variance[split] > policy.var_threshold)
+        assert np.all(tree.depth[split] < policy.max_depth)
 
 
 def test_region_complexity_bounds_and_known_values():
@@ -374,15 +369,10 @@ def test_flat_tree_equals_recursive_reference(case):
     ref = reference_build(img, policy)
     assert json.dumps(node_to_dict(tree)) == json.dumps(reference_to_dict(ref))
 
-    def preorder(node):
-        yield node
-        for child in node.children:
-            yield from preorder(child)
-
-    assert [_hex_stats(n.stats) for n in iter_nodes(tree)] == [
-        _hex_stats(n.stats) for n in preorder(ref)
-    ]
-    assert [leaf.rect for leaf in leaves(tree)] == [n.rect for n in preorder(ref) if not n.children]
+    level_order = [ref]
+    for node in level_order:  # the loop reads what it appends
+        level_order.extend(node.children)
+    assert [_hex_stats(s) for s in node_stats(tree)] == [_hex_stats(n.stats) for n in level_order]
     assert_sources_equal_direct_counts(img, tree)
 
     # the plan: leaf rects depth first, and each leaf's source rect is its

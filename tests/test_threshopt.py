@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from stratseg import (
     segment,
     threshold_tree,
 )
-from stratseg import imgio, stratify
+from stratseg import stratify
 from stratseg.errors import DimensionMismatch, EmptyHistogram, InvalidArgument, ReportTreeMismatch
 from stratseg.stratify import _stats
 from stratseg.threshopt import _BLOCK_ROWS, _optimize_rows, _Tables
@@ -180,8 +181,8 @@ def bits(x):
 
 
 def test_probe_is_bit_identical_to_0d_reference():
-    """The plain-float reference probe and the library's array probe both
-    give the bits of the numpy 0-d evaluation."""
+    """The plain-float reference probe and the library's array evaluation on
+    a (1, c) block both give the bits of the numpy 0-d evaluation."""
     rng = np.random.default_rng(39)
     cases = zoo_cases()
     for i, (hist, complexity) in enumerate(cases):
@@ -195,12 +196,12 @@ def test_probe_is_bit_identical_to_0d_reference():
             ts += [rng.uniform(0.0, 255.0), float(rng.integers(0, 256))]
         for t in ts:
             assert bits(probe(t)) == bits(ref.evaluate(t, wv, we)), (t, hist)
-        lockstep = _Tables(hist).probe(np.zeros((1, 1), np.int64), np.array([ts]), wv, we)[0]
+        lockstep = _Tables(hist).evaluate(np.zeros((1, 1), np.int64), np.array([ts]), wv, we)[0]
         assert np.array_equal(bits(lockstep), bits([probe(t) for t in ts])), hist
 
 
 def zoo_probe_terms():
-    """(mu0 - mu1, om0, om1) of the probes on the criterion-1, seed-34 and
+    """(om0, om1) of the probes on the criterion-1, seed-34 and
     edge histograms: at every point the scalar simplex visits, and at 32
     random points per histogram."""
     rng = np.random.default_rng(43)
@@ -211,19 +212,15 @@ def zoo_probe_terms():
         probe = reference_probe(ref, *ObjectiveWeights().effective(complexity))
         points = rng.uniform(-1.0, 256.0, size=32).tolist()
         reference_nelder_mead(lambda t: points.append(t) or probe(t), ref.mean)
-        ts += [probe_terms(ref, t)[:3] for t in points]
+        ts += [probe_terms(ref, t)[1:3] for t in points]
     return [list(column) for column in zip(*ts)]
 
 
 def test_array_ufuncs_match_the_scalar_probe():
-    """The lockstep probe squares with np.float_power and logs with array
-    np.log; both must give the bits of the scalar probe's `d ** 2` and
-    scalar np.log on the values the probes meet."""
-    d, om0, om1 = zoo_probe_terms()
-    assert len(d) > 100_000
-    assert np.array_equal(
-        bits(np.float_power(np.array(d), 2.0)), bits([x**2 for x in d])
-    ), "np.float_power(d, 2.0) differs from Python d ** 2 (C pow)"
+    """The lockstep probe logs with array np.log, which must give the bits
+    of the scalar probe's scalar np.log on the values the probes meet."""
+    om0, om1 = zoo_probe_terms()
+    assert len(om0) > 100_000
     logs = np.array([x for x in om0 + om1 if x > 0])
     scalar = bits([float(np.log(x)) for x in logs.tolist()])
     assert np.array_equal(bits(np.log(logs)), scalar), "array np.log differs from scalar np.log"
@@ -339,6 +336,25 @@ def test_scalar_objective_is_probe():
         assert type(j) is float
         assert bits(j) == bits(ref.evaluate(t, 0.7, 0.3))
     assert math.isnan(objective(hist, math.nan, FIXED))
+
+
+def test_scalar_and_array_objective_share_one_evaluation():
+    """A float t gives the bits of the one-element array [t] on the
+    criterion-1, the first 500 seed-34 and the edge histograms, at the mean,
+    the mean + 16, past both clamps and at a random point; a NaN t still
+    gives NaN, with no RuntimeWarning."""
+    rng = np.random.default_rng(44)
+    cases = list(criterion_1_histograms()) + list(seed_34_histograms(500))
+    for hist, complexity in cases + [(h, c) for h in EDGE_HISTOGRAMS for c in (0.0, 0.5, 1.0)]:
+        mean = _stats(hist)[1].item()
+        ts = [mean, mean + 16.0, -7.5, 300.25, rng.uniform(0.0, 255.0)]
+        for t in ts:
+            scalar = objective(hist, t, complexity=complexity)
+            assert type(scalar) is float
+            assert bits(scalar) == bits(objective(hist, [t], complexity=complexity)[0]), (t, hist)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(objective(hist, math.nan, complexity=complexity))
 
 
 def test_effective_weights_normalized_and_adaptive():
@@ -525,7 +541,6 @@ def test_threshold_tree_reads_node_histograms(monkeypatch):
     def no_binning(*args, **kwargs):
         raise AssertionError("threshold_tree binned pixels")
 
-    monkeypatch.setattr(imgio, "region_histogram", no_binning)
     monkeypatch.setattr(stratify, "bin_rows", no_binning)
     monkeypatch.setattr(np, "bincount", no_binning)  # binning under any name
     assert threshold_tree(img, tree).entries == expect.entries
