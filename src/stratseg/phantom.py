@@ -66,7 +66,10 @@ class ShapeSpec:
 
     def mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if self.kind == "ellipse":
-            return ((xs - self.cx) / self.rx) ** 2 + ((ys - self.cy) / self.ry) ** 2 <= 1.0
+            # a term that overflows to inf is far above 1, so the pixel is
+            # outside either way (extreme centers over tiny extents)
+            with np.errstate(over="ignore"):
+                return ((xs - self.cx) / self.rx) ** 2 + ((ys - self.cy) / self.ry) ** 2 <= 1.0
         return (np.abs(xs - self.cx) <= self.rx) & (np.abs(ys - self.cy) <= self.ry)
 
 
@@ -134,10 +137,16 @@ def generate_phantom(spec: PhantomSpec) -> tuple:
             img[inside] = float(shape.intensity)
             truth |= inside
         diag = max(spec.width - 1, 1) + max(spec.height - 1, 1)
-        img += spec.ramp_amplitude * (xs + ys) / diag
-        if spec.noise_sigma > 0:
-            rng = np.random.Generator(np.random.PCG64(spec.seed))
-            img += rng.normal(0.0, spec.noise_sigma, size=img.shape)
+        # a ramp or noise value that overflows to +-inf is far outside
+        # [0, 255], so it clips to 255 or 0 either way; only the sum of two
+        # infinities of opposite sign has no value
+        with np.errstate(over="ignore", invalid="ignore"):
+            img += spec.ramp_amplitude * (xs + ys) / diag
+            if spec.noise_sigma > 0:
+                rng = np.random.Generator(np.random.PCG64(spec.seed))
+                img += rng.normal(0.0, spec.noise_sigma, size=img.shape)
+        if np.isnan(img).any():
+            raise InvalidSpec("the ramp and the noise overflow float64 with opposite signs")
         img = np.clip(np.rint(img), 0, 255).astype(np.uint8)
         mask = np.where(truth, 255, 0).astype(np.uint8)
     except MemoryError:

@@ -8,11 +8,12 @@ pixels per side. Leaves tile the image exactly.
 `build_quadtree` builds a linear quadtree (Gargantini, CACM 1982) one level
 at a time, over arrays. Split points are nested, so all nodes down to depth
 d = min(max_depth, 6) are unions of one grid of at most 64 x 64 tiles. The
-image is binned once into a summed-area table of the tile histograms: a
-level's histograms are four gathers from it, or below the grid one keyed
-binning pass per block of nodes. Counts are integers, so every histogram
-equals a direct count. Stats are taken per block (`_stats`), and a level's
-split decisions are one mask.
+image is binned once into a summed-area table of the tile histograms, its
+tile rows in two halves, on two threads for a large image
+(`imgio._in_halves`): a level's histograms are four gathers from it, or
+below the grid one keyed binning pass per block of nodes. Counts are
+integers, so every histogram equals a direct count. Stats are taken per
+block (`_stats`), and a level's split decisions are one mask.
 
 The tree also decides its leaf plan once: which leaves there are, their
 depth-first order (sorted base-4 location codes) and the node whose
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidArgument, real_number, whole_number
-from .imgio import _BAND_PIXELS, GrayImage, Rect, bin_rows
+from .imgio import _BAND_PIXELS, GrayImage, Rect, _in_halves, bin_rows
 
 __all__ = [
     "SplitPolicy",
@@ -189,8 +190,19 @@ class _TileGrid:
         col_key = np.repeat(np.arange(ntx) << 8, np.diff(xs))
         # sat[j, i] counts the tiles above row cut j and left of column cut i
         self.sat = sat = np.zeros((len(ys), ntx + 1, 256), np.int64)
-        for j, (y0, y1) in enumerate(zip(ys, ys[1:])):
-            sat[j + 1, 1:] = bin_rows(img.pixels[y0:y1], col_key, ntx * 256).reshape(ntx, 256)
+        # the tile rows in two halves, each keying its bands into its own
+        # buffer, allocated here: the two together hold one band of a
+        # one-thread pass, which is at most one tile row
+        rows = max(1, min(int(np.diff(ys).max()), _BAND_PIXELS // img.width) // 2)
+        bufs = np.empty((2, rows * img.width), np.intp)
+        cut = (0, (len(ys) - 1) // 2, len(ys) - 1)
+
+        def bin_half(k):
+            for j in range(cut[k], cut[k + 1]):
+                band = img.pixels[ys[j] : ys[j + 1]]
+                sat[j + 1, 1:] = bin_rows(band, col_key, ntx * 256, bufs[k]).reshape(ntx, 256)
+
+        _in_halves(lambda: bin_half(0), lambda: bin_half(1), img.pixels.size)
         np.cumsum(sat, axis=0, out=sat)
         np.cumsum(sat, axis=1, out=sat)
 

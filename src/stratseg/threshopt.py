@@ -25,7 +25,12 @@ refinement reads J at the knots of a +-3 window around each row's rounded
 optimum, and then one knot at a time while a row still climbs; at a knot the
 interpolation adds 0 * diff (`_Tables.at_knots`). The
 exhaustive `oracle_best_threshold`, which backs every optimizer claim,
-reads all 256 knots the same way."""
+reads all 256 knots the same way.
+
+`segment` stitches the mask in full-width row bands, cut at every leaf's
+top and bottom edge: each band is compared against one per-row vector of
+its leaves' thresholds, and the bands run in two halves, on two threads for
+a large image."""
 
 from __future__ import annotations
 
@@ -43,7 +48,7 @@ from .errors import (
     real_number,
     whole_number,
 )
-from .imgio import GrayImage, Rect, _adopt
+from .imgio import GrayImage, Rect, _adopt, _in_halves
 from .stratify import QuadTree
 
 __all__ = [
@@ -354,18 +359,47 @@ def threshold_tree(
 
 
 def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImage:
-    """Stitch the per-leaf binarizations into a full-size {0, 255} mask."""
+    """Stitch the per-leaf binarizations into a full-size {0, 255} mask.
+
+    Every leaf's top and bottom edge cuts the image into row bands, so the
+    leaves that cross a band tile its full width. Each band is compared
+    against one row of its leaves' thresholds, and the bands run in two
+    halves, on two threads for a large image (`imgio._in_halves`). A
+    threshold must be a whole number in [0, 255]: the row is uint8, like
+    the pixels."""
     _check_dims(img, tree)
     if len(tree.leaves) != len(report.entries):
         raise ReportTreeMismatch(f"{len(report.entries)} entries for {len(tree.leaves)} leaves")
-    mask = np.zeros((img.height, img.width), dtype=np.uint8)
-    # foreground flags are written in place as 0/1 bytes, then scaled once
-    flags = mask.view(bool)
-    for (x0, y0, w, h), entry in zip(tree.rects[tree.leaves].tolist(), report.entries):
-        r = entry.rect
+    rects = tree.rects[tree.leaves]
+    for e, (x0, y0, w, h) in zip(report.entries, rects.tolist()):
+        r = e.rect
         if r is None or (r.x0, r.y0, r.w, r.h) != (x0, y0, w, h):
             raise ReportTreeMismatch(f"entry rect {r} != leaf rect {Rect(x0, y0, w, h)}")
-        rows, cols = slice(y0, y0 + h), slice(x0, x0 + w)
-        np.greater(img.pixels[rows, cols], entry.threshold, out=flags[rows, cols])
-    mask *= 255
+    t = np.array([e.threshold for e in report.entries])
+    if t.dtype.kind not in "iu" or t.min() < 0 or t.max() > 255:
+        raise InvalidArgument("leaf thresholds must be whole numbers in [0, 255]")
+    x0, y0, w, h = rects.T
+    cuts = np.unique(np.concatenate([y0, y0 + h]))
+    # one (band, leaf) pair for each band a leaf crosses, in (band, x0) order
+    first = np.searchsorted(cuts, y0)
+    span = np.searchsorted(cuts, y0 + h) - first
+    leaf = np.repeat(np.arange(len(rects)), span)
+    band = np.arange(len(leaf)) - np.repeat(np.cumsum(span) - span - first, span)
+    leaf = leaf[np.lexsort((x0[leaf], band))]
+    rows = np.repeat(t[leaf].astype(np.uint8), w[leaf]).reshape(len(cuts) - 1, img.width)
+    # (first row, end row, band) runs; the halves meet at the middle row,
+    # which may cut a band in two
+    mid = img.height // 2
+    edges = np.union1d(cuts, mid).tolist()
+    runs = list(zip(edges, edges[1:], np.searchsorted(cuts, edges[:-1], side="right") - 1))
+    mask = np.empty((img.height, img.width), dtype=np.uint8)
+    flags = mask.view(bool)
+
+    def stitch(part):
+        for a, b, k in part:
+            np.greater(img.pixels[a:b], rows[k], out=flags[a:b])
+            mask[a:b] *= 255  # while the run is still in cache
+
+    half = edges.index(mid)
+    _in_halves(lambda: stitch(runs[:half]), lambda: stitch(runs[half:]), img.pixels.size)
     return _adopt(mask)

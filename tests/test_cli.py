@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -27,7 +28,9 @@ from stratseg import (
     train_gda,
 )
 import stratseg
+from stratseg import imgio, stratify
 from stratseg.cli import _kernel_spec, _segment_params, build_parser, main
+from stratseg.errors import StratsegError
 
 
 def run(args):
@@ -295,7 +298,10 @@ DEEP_JSON = "[" * 200000 + "]" * 200000  # nested past the recursion limit
      # integers beyond the float64 range, which JSON reads as Python ints
      pytest.param('{"width": 4, "height": 4, "noise_sigma": 1%s}' % ("0" * 400), id="huge noise"),
      pytest.param('{"width": 4, "height": 4, "shapes": [{"kind": "ellipse", "cx": 1, "cy": 1, '
-                  '"rx": 1%s, "ry": 1, "intensity": 9}]}' % ("0" * 400), id="huge rx")],
+                  '"rx": 1%s, "ry": 1, "intensity": 9}]}' % ("0" * 400), id="huge rx"),
+     # a ramp that overflows to +inf meets noise that overflows to -inf
+     pytest.param('{"width": 4, "height": 4, "ramp_amplitude": 1e308, "noise_sigma": 1e308, '
+                  '"seed": 3}', id="ramp meets noise")],
 )
 def test_cli_malformed_phantom_spec_reports_category(tmp_path, capsys, text):
     spec = tmp_path / "bad.json"
@@ -305,6 +311,26 @@ def test_cli_malformed_phantom_spec_reports_category(tmp_path, capsys, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: InvalidSpec:")
     assert not img.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param('{"width": 4, "height": 4, "ramp_amplitude": 1e308, "shapes": [{"kind": '
+                  '"ellipse", "cx": 1e308, "cy": -1e308, "rx": 1e-300, "ry": 1e-300, '
+                  '"intensity": 9}]}', id="far tiny ellipse, steep ramp"),
+     pytest.param('{"width": 4, "height": 4, "ramp_amplitude": -1e308, "noise_sigma": 1e300}',
+                  id="steep falling ramp"),
+     pytest.param('{"width": 4, "height": 4, "noise_sigma": 1.7e308}', id="huge noise")],
+)
+def test_cli_extreme_finite_phantom_spec_renders_quietly(tmp_path, capsys, text):
+    """Values that overflow float64 on the way lie far outside [0, 255]
+    and clip, so the phantom renders without a warning."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    img = tmp_path / "img.pgm"
+    assert run(["phantom", spec, "--image", img, "--mask", tmp_path / "m.pgm"]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_pgm(img.read_bytes()).pixels.shape == (4, 4)
 
 
 @pytest.mark.parametrize("text", ["0.0,0.0,1\n5.0,0.0\n", "0.0,0.0\n5.0,0.0,1\n"])
@@ -468,16 +494,45 @@ def test_cli_any_pgm_bytes_and_flags_exit_0_or_one_error_line(fuzz_dir, data, fl
     assert_exit_0_or_one_error_line(args + flags)
 
 
-def test_import_does_not_load_scipy():
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this stratseg."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(stratseg.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", "import stratseg, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_scipy():
+    run_fresh("import stratseg, sys; assert 'scipy' not in sys.modules")
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # the pixel passes start a plain thread; concurrent.futures would add
+    # 6-10 ms to every CLI start
+    run_fresh("import stratseg.cli, sys; assert 'concurrent.futures' not in sys.modules")
+
+
+def test_cli_error_in_the_helper_thread_prints_one_line(tmp_path, capsys, monkeypatch):
+    path, _ = quadrant_pgm(tmp_path)
+    bin_rows = stratify.bin_rows
+
+    def failing(pixels, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise StratsegError("raised in the helper thread")
+        return bin_rows(pixels, *args)
+
+    monkeypatch.setattr(imgio, "_HELPER_PIXELS", 0)
+    monkeypatch.setattr(stratify, "bin_rows", failing)
+    mask = tmp_path / "m.pgm"
+    assert run(["segment", path, "--mask-out", mask, "--report-out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: StratsegError: raised in the helper thread\n"
+    assert not mask.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,18 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratseg import GrayImage, load_pgm, save_pgm
+from stratseg import GrayImage, imgio, load_pgm, save_pgm
 from stratseg.errors import (
     InvalidArgument,
     MalformedHeader,
     TruncatedData,
     UnsupportedMaxval,
 )
-from stratseg.imgio import bin_rows
+from stratseg.imgio import _in_halves, bin_rows
 
 
 def canonical_p5(w, h, pixels):
@@ -176,6 +179,56 @@ def test_histogram_over_many_row_bands_matches_flat_count(w, h):
         assert np.array_equal(
             bin_rows(img.pixels[1:]), np.bincount(img.pixels[1:].ravel(), minlength=256)
         )
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_keyed_binning_into_a_given_buffer_matches_a_flat_count(rows):
+    # bands as tall as the buffer holds rows, the last one partial
+    rng = np.random.default_rng(rows)
+    px = rng.integers(0, 256, size=(37, 50), dtype=np.uint8)
+    key = np.repeat(np.arange(5) << 8, 10)
+    buf = np.empty(rows * 50, np.intp)
+    expect = np.bincount((px + key).ravel(), minlength=5 * 256)
+    assert np.array_equal(bin_rows(px, key, 5 * 256, buf), expect)
+
+
+# from `_HELPER_PIXELS` pixels on, the upper half runs on a helper thread;
+# on a one-CPU machine `_HELPER_PIXELS` is infinite
+@pytest.mark.parametrize(
+    "helper_pixels, size, two", [(100, 100, True), (100, 99, False), (math.inf, 10**12, False)]
+)
+def test_halves_run_on_two_threads_from_a_size_on(monkeypatch, helper_pixels, size, two):
+    monkeypatch.setattr(imgio, "_HELPER_PIXELS", helper_pixels)
+    seen = {}
+    _in_halves(lambda: seen.update(lower=threading.get_ident()),
+               lambda: seen.update(upper=threading.get_ident()), size)
+    assert seen["lower"] == threading.get_ident()
+    assert (seen["upper"] != seen["lower"]) == two
+
+
+@pytest.mark.parametrize("fails", ["upper", "both"])
+def test_an_exception_in_the_helper_half_is_raised_in_the_caller(monkeypatch, fails):
+    """The helper's own exception object reaches the caller, after both
+    halves have stopped; one in the caller's half takes precedence."""
+    monkeypatch.setattr(imgio, "_HELPER_PIXELS", 0)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    errors, done = {}, []
+
+    def half(name, fail):
+        def run():
+            done.append(name)
+            if fail:
+                errors[name] = MemoryError(name)
+                raise errors[name]
+        return run
+
+    threads = threading.active_count()
+    with pytest.raises(MemoryError) as info:
+        _in_halves(half("lower", fails == "both"), half("upper", True), 1)
+    assert info.value is errors["lower" if fails == "both" else "upper"]
+    assert sorted(done) == ["lower", "upper"]
+    assert not hooked and threading.active_count() == threads
 
 
 def test_histogram_mass_equals_area():

@@ -216,8 +216,15 @@ _SPEC_KEYS = sorted(set(json.loads(_SPEC_TEXT)) | set(json.loads(_SPEC_TEXT)["sh
 @given(text=json_documents(_SPEC_TEXT, _SPEC_KEYS))
 @example(text="[" * 200000 + "]" * 200000)
 @example(text=_SPEC_TEXT.replace("20.0", str(10**400)))  # ramp_amplitude beyond float64
+# finite values whose rendering overflows float64
+@example(text=_SPEC_TEXT.replace("20.0", "1e308").replace('"rx": 4', '"rx": 1e-300'))
+@example(text=_SPEC_TEXT.replace("20.0", "1e308").replace("5.0", "1e308"))
 def test_any_spec_json_parses_or_raises_stratseg_error(text):
+    """A spec parses or raises a StratsegError, and a tiny one that parses
+    renders or raises one, without a warning (warnings fail the tests)."""
     try:
-        PhantomSpec.from_json(text)
+        spec = PhantomSpec.from_json(text)
+        if spec.width * spec.height <= 4096:
+            generate_phantom(spec)
     except StratsegError:
         pass

@@ -1,11 +1,12 @@
 import gc
 import json
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from stratseg import GrayImage, SplitPolicy, build_quadtree
+from stratseg import GrayImage, SplitPolicy, build_quadtree, imgio, stratify
 from stratseg.errors import InvalidArgument
 from stratseg.imgio import Rect
 from stratseg.stratify import RegionStats, _stats, node_to_dict
@@ -239,6 +240,30 @@ def test_build_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("row", [0, 63])
+def test_a_failing_tile_row_raises_in_the_caller(monkeypatch, row):
+    """The 64 one-row tile rows are binned in two halves; row 0 is in the
+    calling thread's half, row 63 in the helper thread's. Either way the
+    very exception reaches the caller, and no thread prints a traceback."""
+    img = GrayImage(np.random.default_rng(23).integers(0, 256, (64, 40), dtype=np.uint8))
+    bin_rows, raised, hooked = stratify.bin_rows, [], []
+
+    def failing(pixels, *args):
+        if (pixels.ctypes.data - img.pixels.ctypes.data) // img.width == row:
+            raised.append((MemoryError("tile row"), threading.current_thread()))
+            raise raised[-1][0]
+        return bin_rows(pixels, *args)
+
+    monkeypatch.setattr(imgio, "_HELPER_PIXELS", 0)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(stratify, "bin_rows", failing)
+    with pytest.raises(MemoryError) as info:
+        build_quadtree(img, SplitPolicy(max_depth=6, min_side=2, var_threshold=0.0))
+    (exc, thread), = raised
+    assert info.value is exc and not hooked
+    assert (thread is threading.main_thread()) == (row == 0)
 
 
 def test_node_histogram_stays_out_of_report_and_equality():

@@ -1,10 +1,11 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stratseg import (
     GrayImage,
@@ -20,8 +21,9 @@ from stratseg import (
     segment,
     threshold_tree,
 )
-from stratseg import stratify
+from stratseg import imgio, stratify
 from stratseg.errors import DimensionMismatch, EmptyHistogram, InvalidArgument, ReportTreeMismatch
+from stratseg.imgio import Rect
 from stratseg.stratify import _stats
 from stratseg.threshopt import _BLOCK_ROWS, _optimize_rows, _Tables
 
@@ -32,6 +34,7 @@ from objective_reference import (
     reference_optimize_leaf,
     reference_probe,
 )
+from segment_reference import reference_segment
 
 
 def discrete_objective(hist, t, w_var, w_ent):
@@ -530,6 +533,72 @@ def test_segment_matches_where_reference():
         sub = px[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w]
         expect[r.y0 : r.y0 + r.h, r.x0 : r.x0 + r.w] = np.where(sub <= e.threshold, 0, 255)
     assert np.array_equal(segment(img, tree, report).pixels, expect)
+
+
+def stitch_case(w, h, seed, blocky, policy):
+    """A noise image, or one of flat 5 x 5 blocks (leaves of many sizes side
+    by side), its tree under `policy`, and a report with a random threshold,
+    0 and 255 among them, for each leaf."""
+    rng = np.random.default_rng(seed)
+    px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    if blocky:
+        px = np.kron(px[::5, ::5], np.ones((5, 5), np.uint8))[:h, :w]
+    img = GrayImage(px)
+    tree = build_quadtree(img, policy)
+    ts = rng.choice([0, 255, *rng.integers(0, 256, 8)], size=len(tree.leaves))
+    rects = tree.rects[tree.leaves].tolist()
+    entries = [
+        LeafThreshold(t, 0.0, 0.0, 1.0, 0.0, 0, True, Rect(*r)) for t, r in zip(ts.tolist(), rects)
+    ]
+    return img, tree, ThresholdReport(tuple(entries))
+
+
+@st.composite
+def stitch_cases(draw):
+    """Images of 4 to 64 pixels a side, or of one row or one column, under
+    policies down to depth 12."""
+    w, h = draw(st.integers(4, 64)), draw(st.integers(4, 64))
+    w, h = draw(st.sampled_from([(w, h), (w, h), (w, 1), (1, h)]))
+    policy = SplitPolicy(
+        draw(st.integers(0, 12)), draw(st.integers(2, 4)), draw(st.sampled_from([0.0, 50.0, 500.0]))
+    )
+    return stitch_case(w, h, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), policy)
+
+
+@pytest.mark.parametrize("helper_pixels", [math.inf, 0], ids=["one thread", "two threads"])
+@settings(max_examples=80)
+@given(case=stitch_cases())
+# odd sides: leaves of 2 and 3 pixels, so bands of 1, 2 and 3 rows
+@example(case=stitch_case(61, 37, 1, False, SplitPolicy(12, 2, 0.0)))
+@example(case=stitch_case(64, 63, 2, True, SplitPolicy(12, 2, 50.0)))
+def test_banded_stitch_matches_per_leaf_reference(helper_pixels, case):
+    img, tree, report = case
+    with mock.patch.object(imgio, "_HELPER_PIXELS", helper_pixels):
+        mask = segment(img, tree, report)
+    assert mask.pixels.tobytes() == reference_segment(img, tree, report).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["swapped", "missing"])
+def test_segment_rejects_a_wrong_leaf_rect(bad):
+    img = quadrant_image()
+    tree = build_quadtree(img, SplitPolicy(min_side=8))
+    entries = list(threshold_tree(img, tree).entries)
+    if bad == "swapped":  # two leaves of one size, listed in the wrong order
+        entries[1], entries[2] = entries[2], entries[1]
+    else:
+        entries[3] = replace(entries[3], rect=None)
+    with pytest.raises(ReportTreeMismatch, match="entry rect"):
+        segment(img, tree, ThresholdReport(tuple(entries)))
+
+
+@pytest.mark.parametrize("t", [-1, 256, 100.5, None])
+def test_segment_rejects_a_threshold_outside_the_pixel_range(t):
+    img = quadrant_image()
+    tree = build_quadtree(img, SplitPolicy(min_side=8))
+    entries = list(threshold_tree(img, tree).entries)
+    entries[2] = replace(entries[2], threshold=t)
+    with pytest.raises(InvalidArgument, match="whole numbers in"):
+        segment(img, tree, ThresholdReport(tuple(entries)))
 
 
 def test_threshold_tree_reads_node_histograms(monkeypatch):
