@@ -6,9 +6,11 @@ replace feature-space means, and discriminant directions are coefficient
 vectors solving the generalized eigenproblem of the between-class against
 the (regularized) within-class kernel scatter. The between-class scatter
 has rank at most Z - 1, so the M x M pencil is reduced to a Z x Z symmetric
-eigenproblem. Training runs in float64 except for one step: the residual of
-the refinement of B^-1 C, B = U_w + eps I, which is taken in extended
-precision. The discriminants are made orthonormal in the metric of B by
+eigenproblem. Training runs in float64 throughout. The class means and the
+residual of the refinement of B^-1 C, B = U_w + eps I, are error-free
+float64 products: K is split once into a leading part whose BLAS products
+are exact and a remainder, and two-sums carry each result as a hi + lo
+pair. The discriminants are made orthonormal in the metric of B by
 Cholesky QR.
 
 RBF distances use the Gram expansion ||x||^2 + ||y||^2 - 2 x.y (one BLAS
@@ -57,7 +59,6 @@ __all__ = [
     "regularization_epsilon",
 ]
 
-LD = np.longdouble  # precision of the refinement residual in train_gda
 _CHUNK_ENTRIES = 2**17  # kernel entries per row chunk in project (1 MiB of float64)
 _FLOAT_MAX = sys.float_info.max  # compares exactly with an int of any size
 KERNEL_KINDS = ("linear", "rbf", "polynomial")
@@ -162,14 +163,21 @@ def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 def compute_kernel_matrix(data: LabeledDataset, spec: KernelSpec) -> np.ndarray:
     """M x M training kernel matrix, exactly symmetric (upper triangle
-    mirrored). Under RBF the entry of two samples with equal bits, the
-    diagonal included, is exactly 1, i.e. exp(-gamma * 0): the Gram expansion
-    would leave rounding of about gamma ||x - mean||^2 ulps there."""
+    mirrored) and with no -0.0 entry. Under RBF the entry of two samples with
+    equal bits, the diagonal included, is exactly 1, i.e. exp(-gamma * 0): the
+    Gram expansion would leave rounding of about gamma ||x - mean||^2 ulps
+    there."""
     x = data.samples
+    m = len(x)
     k = _cross_kernel(x, x, spec)
-    k = np.triu(k) + np.triu(k, 1).T
-    if spec.kind == "rbf":
-        _, row = np.unique(x.view(np.dtype((np.void, x.strides[0]))).ravel(), return_inverse=True)
+    np.copyto(k, k.T, where=np.tri(m, k=-1, dtype=bool))
+    if spec.kind != "rbf":
+        k += 0.0  # -0.0 becomes +0.0; exp never gives -0.0
+        return k
+    uniq, row = np.unique(x.view(np.dtype((np.void, x.strides[0]))).ravel(), return_inverse=True)
+    if len(uniq) == m:  # all samples distinct: only the diagonal
+        k.flat[:: m + 1] = 1.0
+    else:
         k[row[:, None] == row] = 1.0
     return k
 
@@ -201,31 +209,21 @@ class ScatterMatrices:
     global_mean: np.ndarray  # (M,)
 
 
-def _scatter_factors(k: np.ndarray, labels) -> tuple:
-    """Class means and scatter factors, in k's dtype.
-
-    Returns (deltas, delta0, c_b, dev): U_b = c_b c_b^T with c_b the (M, Z)
-    columns (delta_c - delta_0) sqrt(n_c / M), and U_w = dev dev^T / M with
-    dev the kernel columns minus their class means.
-    """
-    m = k.shape[0]
-    deltas, delta0, inverse = _class_means(k, labels)
-    counts = np.bincount(inverse).astype(k.dtype)
-    c_b = ((deltas - delta0) * np.sqrt(counts / m)[:, None]).T
-    dev = k - deltas[inverse].T  # column j minus its class mean
-    return deltas, delta0, c_b, dev
-
-
 def scatter_matrices(k: np.ndarray, labels) -> ScatterMatrices:
     """Kernel scatter matrices; satisfies u_t = u_b + u_w and all three PSD.
 
-    They are formed in k's dtype when it is wider than float64 (longdouble);
-    any other k is taken as float64.
+    U_b = c_b c_b^T with c_b the (M, Z) columns (delta_c - delta_0)
+    sqrt(n_c / M), and U_w = dev dev^T / M with dev the kernel columns minus
+    their class means. They are formed in k's dtype when it is wider than
+    float64 (longdouble); any other k is taken as float64.
     """
     k = np.asarray(k)
     k = k.astype(np.result_type(k, np.float64), copy=False)
     m = k.shape[0]
-    deltas, delta0, c_b, dev_w = _scatter_factors(k, np.asarray(labels))
+    deltas, delta0, inverse = _class_means(k, np.asarray(labels))
+    counts = np.bincount(inverse).astype(k.dtype)
+    c_b = ((deltas - delta0) * np.sqrt(counts / m)[:, None]).T
+    dev_w = k - deltas[inverse].T  # column j minus its class mean
     u_b = c_b @ c_b.T
     u_w = dev_w @ dev_w.T / m
     dev_t = k - delta0[:, None]
@@ -237,7 +235,7 @@ def scatter_matrices(k: np.ndarray, labels) -> ScatterMatrices:
 def regularization_epsilon(u_w: np.ndarray) -> float:
     """Trace-scaled ridge added to the within-class scatter (floor 1e-12)."""
     m = u_w.shape[0]
-    return max(1e-8 * float(np.trace(u_w.astype(np.float64))) / m, 1e-12)
+    return max(1e-8 * float(np.trace(u_w.astype(np.float64, copy=False))) / m, 1e-12)
 
 
 def fisher_criterion(sigma: np.ndarray, s: ScatterMatrices, eps: Optional[float] = None) -> float:
@@ -273,6 +271,128 @@ class GdaModel:
         return self.sigmas.shape[1]
 
 
+# --- error-free float64 products -------------------------------------------
+# A pair (hi, lo) stands for the unevaluated sum hi + lo.
+
+_SPLITTER = 2.0**27 + 1  # Veltkamp's factor: splits a double into 26-bit halves
+
+
+def _magnitude(a: np.ndarray, axis=None) -> np.ndarray:
+    """Largest |a| along `axis` (all of a if None), dimensions kept."""
+    return np.maximum(a.max(axis=axis, keepdims=True), -a.min(axis=axis, keepdims=True))
+
+
+def _split(a: np.ndarray, top, tau: int, out=None) -> tuple:
+    """(a1, a - a1), both exact, the remainder written to `out` if given: a1
+    rounds each entry to a multiple of 2**(e + tau - 53), where 2**e is the
+    power of two at or above its bound in `top`, an array that broadcasts
+    against a (ExtractScalar; Ozaki, Ogita, Oishi & Rump, Numer. Algorithms
+    59, 2012).
+
+    When both factors of a product are split so, the left one with a bound
+    per row (or one for all) and the right one with a bound per column (or
+    one for all), and 2 tau >= 53 + ceil(log2 M) for their shared dimension
+    M, every partial sum of the leading parts' product is a whole number of
+    units below 2**53, so BLAS forms it exactly in any summation order. The
+    remainders are about 2**(tau - 53) times smaller than the data.
+    """
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + tau)
+    a1 = a + sigma
+    a1 -= sigma
+    return a1, np.subtract(a, a1, out=out)
+
+
+def _two_sum(a, b) -> tuple:
+    """(a + b, its rounding error), exact whatever the magnitudes (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _pair_div(hi, lo, n) -> tuple:
+    """(hi + lo) / n as a pair, for whole n below 2**26. The remainder
+    hi - q n of q = hi / n is exact: q n is taken as the sum of q's two
+    26-bit halves times n, and each of those products is exact."""
+    q = hi / n
+    c = q * _SPLITTER
+    q_hi = c - (c - q)
+    rem = (hi - q_hi * n) - (q - q_hi) * n
+    return q, (rem + lo) / n
+
+
+def _pair_product(a: tuple, x_hi: np.ndarray, x_lo, tau: int) -> tuple:
+    """A @ (x_hi + x_lo) as a pair, A = a1 + ar + a_lo given as the tuple a
+    of its `_split` parts a1 and ar and a low part a_lo, and x_lo at most an
+    ulp of x_hi. x_hi is split here by columns, so a1 @ x1 is exact, and
+    what BLAS rounds is of remainders about 2**(tau - 53) times smaller than
+    A x; the products of two low parts are below that again and left out."""
+    a1, ar, a_lo = a
+    x1, xr = _split(x_hi, _magnitude(x_hi, axis=0), tau)
+    z = x_hi.shape[1]
+    p = a1 @ np.hstack([x1, xr + x_lo])
+    rest = p[:, z:] + ar @ x_hi
+    rest += a_lo @ x_hi
+    return _two_sum(p[:, :z], rest)
+
+
+def _minus_class_means(k: np.ndarray, means: tuple, e_t: np.ndarray, bufs: tuple) -> tuple:
+    """(dev, dev_lo): D = K - Mc E^T, the kernel columns minus their class
+    means (the pair `means`, one column per class; e_t is E^T, one-hot), with
+    dev its float64 rounding and dev_lo the rest to about u^2 max|K|, u the
+    float64 epsilon. The two M x M arrays `bufs` are scratch space; the first
+    is returned as dev."""
+    t, g = bufs
+    np.matmul(means[0], e_t, out=g)  # exact: one nonzero term per entry
+    dev = k - g
+    np.subtract(dev, k, out=t)
+    lo = dev - t
+    np.subtract(k, lo, out=lo)
+    g += t
+    lo -= g  # (k - g) - dev, exactly (TwoSum)
+    np.matmul(means[1], e_t, out=g)
+    np.subtract(dev, g, out=t)
+    dev -= t
+    dev -= g  # (dev - g) - t, exactly where |g| <= |dev|, else to u |g|
+    lo += dev
+    return t, lo
+
+
+class _ExactScatter:
+    """Class means, C = delta_c - delta_0 as a pair of (M, Z) columns, and
+    D = K - Mc E^T as the pair (dev, dev_lo), of a training kernel K.
+
+    K is split once by rows, K = k1 + kr, and K @ E (E the one-hot class
+    matrix with a ones column) is exact in k1 and a float64 BLAS product in
+    kr: each mean is exact up to the rounding of the remainder's sum, about
+    M u 2**(tau - 53) times its row's largest |K|, given in `rows`.
+    """
+
+    def __init__(self, k: np.ndarray, rows: np.ndarray, inverse: np.ndarray, counts: np.ndarray):
+        m, z = len(inverse), len(counts)
+        self.tau = -(-(53 + (m - 1).bit_length()) // 2)
+        k1, kr = _split(k, rows, self.tau)
+        e = np.zeros((m, z + 1))
+        e[np.arange(m), inverse] = 1.0
+        e[:, z] = 1.0
+        # delta_c, one column per class, then delta_0
+        self.means = hi, lo = _pair_div(*_two_sum(k1 @ e, kr @ e), np.append(counts, m))
+        c_hi, c_lo = _two_sum(hi[:, :z], -hi[:, z:])
+        self.c = _two_sum(c_hi, c_lo + (lo[:, :z] - lo[:, z:]))
+        self.dev, self.dev_lo = _minus_class_means(
+            k, (hi[:, :z], lo[:, :z]), e[:, :z].T, (k1, kr)
+        )
+
+    def residual(self, y: np.ndarray, eps: float) -> np.ndarray:
+        """C - D (D^T y) / M - eps y rounded to float64. dev is split in
+        place for the products and is whole again on return."""
+        d1, dr = _split(self.dev, _magnitude(self.dev), self.tau, out=self.dev)
+        p = _pair_product((d1.T, dr.T, self.dev_lo.T), y, 0.0, self.tau)
+        dp = _pair_product((d1, dr, self.dev_lo), *p, self.tau)
+        self.dev += d1
+        q_hi, q_lo = _pair_div(*dp, len(y))
+        return (self.c[0] - q_hi - eps * y) + (self.c[1] - q_lo)
+
+
 def _b_orthonormalize(sig: np.ndarray, apply_b) -> np.ndarray:
     """Columns of sig made orthonormal in the metric of B, each leading set of
     columns keeping its span: two passes of Cholesky QR through the factor of
@@ -286,6 +406,11 @@ def _b_orthonormalize(sig: np.ndarray, apply_b) -> np.ndarray:
     return sig
 
 
+def _require_finite(what: str, a) -> None:
+    if not np.all(np.isfinite(a)):
+        raise DegenerateKernel(f"kernel too large: {what} overflows float64")
+
+
 def train_gda(
     data: LabeledDataset,
     spec: KernelSpec = KernelSpec(),
@@ -295,9 +420,10 @@ def train_gda(
 
     `d` defaults to Z - 1; requesting more than the numerical rank of the
     between-class scatter yields fewer discriminants with achieved_all
-    cleared rather than an error.
+    cleared rather than an error. A kernel too large for the scatter to be
+    finite in float64 raises DegenerateKernel.
     """
-    classes = data.classes
+    classes, inverse = np.unique(data.labels, return_inverse=True)
     z = len(classes)
     if z < 2:
         raise InvalidDataset(f"need at least 2 classes, got {z}")
@@ -306,46 +432,59 @@ def train_gda(
         raise InvalidArgument("d must be >= 1")
 
     k = compute_kernel_matrix(data, spec)
-    if not np.all(np.isfinite(k)):
+    rows = _magnitude(k, axis=0).T  # = along rows: K is symmetric
+    k_max = float(rows.max())
+    if not np.isfinite(k_max):
         raise DegenerateKernel("kernel matrix has non-finite entries")
-    k_max = float(np.abs(k).max())
     if k_max < 1e-30:
         raise DegenerateKernel("kernel matrix is numerically zero")
     m = k.shape[0]
-    _, _, c_ld, dev_ld = _scatter_factors(k.astype(LD), data.labels)
-    c_b, dev = c_ld.astype(np.float64), dev_ld.astype(np.float64)
-    b = dev @ dev.T / m  # U_w
-    eps = regularization_epsilon(b)
-    b.flat[:: m + 1] += eps  # B = U_w + eps I
+    counts = np.bincount(inverse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # K's entries are rounded to about u max|K|, u the float64 epsilon: class
+        # means less than ten such ulps apart, an eigenvalue below 100 M (u max|K|)^2,
+        # are rounding, as for classes that are copies of each other
+        floor = 100 * m * (np.finfo(np.float64).eps * k_max) ** 2
+        _require_finite("the rank floor", floor)
+        exact = _ExactScatter(k, rows, inverse, counts)
+        dev = exact.dev  # kernel columns minus their class means
+        b = dev @ dev.T
+        b /= m  # U_w
+        eps = regularization_epsilon(b)
+        b.flat[:: m + 1] += eps  # B = U_w + eps I
+        _require_finite("the within-class scatter", b)
+        w = np.sqrt(counts / m)
+        c_b = exact.c[0] * w  # U_b = C C^T
+        gram = c_b.T @ c_b
+        _require_finite("the between-class scatter", gram)
 
-    def apply_b(s):  # B s with B in factored form, O(M^2) per column
-        return dev @ (dev.T @ s) / m + eps * s
+        def apply_b(s):  # B s with B in factored form, O(M^2) per column
+            return dev @ (dev.T @ s) / m + eps * s
 
-    ev_b = np.linalg.eigvalsh(c_b.T @ c_b)  # nonzero spectrum of U_b = C C^T
-    # K's entries are rounded to about u max|K|, u the float64 epsilon: class
-    # means less than ten such ulps apart, an eigenvalue below 100 M (u max|K|)^2,
-    # are rounding, as for classes that are copies of each other
-    floor = 100 * m * (np.finfo(np.float64).eps * k_max) ** 2
-    rank_b = int(np.sum(ev_b > max(1e-10 * ev_b[-1], floor)))
-    d_eff = min(d_req, z - 1, rank_b)
+        ev_b = np.linalg.eigvalsh(gram)  # nonzero spectrum of U_b
+        rank_b = int(np.sum(ev_b > max(1e-10 * ev_b[-1], floor)))
+        d_eff = min(d_req, z - 1, rank_b)
 
-    # U_b s = eta B s with U_b = C C^T reduces to the Z x Z problem
-    # (C^T B^-1 C) v = eta v, s = B^-1 C v. One refinement step makes
-    # B^-1 C accurate; only its residual needs extended precision.
-    x = np.linalg.solve(b, c_b)
-    x_ld = x.astype(LD)
-    r = c_ld - (dev_ld @ (dev_ld.T @ x_ld) / m + LD(eps) * x_ld)
-    del c_ld, dev_ld, x_ld  # free the extended-precision copies
-    x += np.linalg.solve(b, r.astype(np.float64))
-    g = c_b.T @ x
-    _, v = np.linalg.eigh((g + g.T) / 2)
-    sigmas = _b_orthonormalize(x @ v[:, ::-1][:, :d_eff], apply_b)
-    etas = ((c_b.T @ sigmas) ** 2).sum(axis=0)  # sigma^T B sigma = I
-    peak = np.abs(sigmas).argmax(axis=0)
-    sigmas *= np.sign(sigmas[peak, np.arange(d_eff)])
+        # U_b s = eta B s with U_b = C C^T reduces to the Z x Z problem
+        # (C^T B^-1 C) v = eta v, s = B^-1 C v. B^-1 C is solved column by
+        # column as (B^-1 (delta_c - delta_0)) sqrt(n_c / M); one refinement
+        # step with an error-free residual makes it accurate.
+        y = np.linalg.solve(b, exact.c[0])
+        r = exact.residual(y, eps)
+        del exact  # the low parts
+        _require_finite("the refinement residual", r)
+        y += np.linalg.solve(b, r)
+        x = y * w
+        g = c_b.T @ x
+        _require_finite("C^T B^-1 C", g)
+        _, v = np.linalg.eigh((g + g.T) / 2)
+        sigmas = _b_orthonormalize(x @ v[:, ::-1][:, :d_eff], apply_b)
+        etas = ((c_b.T @ sigmas) ** 2).sum(axis=0)  # sigma^T B sigma = I
+        peak = np.abs(sigmas).argmax(axis=0)
+        sigmas *= np.sign(sigmas[peak, np.arange(d_eff)])
 
-    proj = k @ sigmas  # row j = projection of training sample j
-    class_means = np.stack([proj[data.labels == c].mean(axis=0) for c in classes])
+        proj = k @ sigmas  # row j = projection of training sample j
+        class_means = np.stack([proj[inverse == i].mean(axis=0) for i in range(z)])
     return GdaModel(
         samples=data.samples,
         labels=data.labels,

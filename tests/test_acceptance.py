@@ -418,9 +418,9 @@ def test_criterion_7_low_rank_vs_full_pencil_agreement():
 
 
 def residual_cases():
-    """The two linear-kernel datasets on which a float64 refinement residual
-    misses criterion 7's angle bound. They are the only two among 80 draws
-    (seeds 1000-1009, four z=3 then z=4 pairs each)."""
+    """The two linear-kernel datasets on which an uncompensated float64
+    refinement residual misses criterion 7's angle bound. They are the only
+    two among 80 draws (seeds 1000-1009, four z=3 then z=4 pairs each)."""
     rng = np.random.default_rng(1006)
     random_dataset(rng, z=3)
     return [random_dataset(np.random.default_rng(1009), z=3), random_dataset(rng, z=4)]
@@ -428,7 +428,8 @@ def residual_cases():
 
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-    reason="longdouble is float64 here, so the refinement residual is float64 too",
+    reason="longdouble is float64 here, so the full-pencil reference of "
+    "pencil_reference.py is no more precise than the float64 model it checks",
 )
 @pytest.mark.parametrize("case", [0, 1])
 def test_low_rank_refinement_residual_extended_precision(case):

@@ -679,6 +679,31 @@ def test_cli_overflowing_training_kernel_one_line(tmp_path, capsys):
     assert not model_path.exists()
 
 
+NINE_ROWS = "0,0,0\n0.5,0.2,0\n0.1,0.6,0\n4,4,1\n4.4,3.8,1\n3.9,4.3,1\n0,5,2\n0.3,4.6,2\n-0.2,5.2,2\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "scale, flags",
+    [
+        (1e120, ["--kernel", "linear"]),
+        (1e78, ["--kernel", "linear"]),
+        (1e25, ["--kernel", "polynomial", "--degree", "3"]),
+        (1.0, ["--kernel", "polynomial", "--degree", "1", "--coef", "1e300"]),
+    ],
+)
+def test_cli_huge_finite_training_kernel_one_line(tmp_path, capsys, scale, flags):
+    """A finite kernel whose scatter or rank floor overflows float64."""
+    rows = [line.split(",") for line in NINE_ROWS.split()]
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("".join(f"{float(a) * scale!r},{float(b) * scale!r},{c}\n" for a, b, c in rows))
+    model_path = tmp_path / "m.json"
+    assert run(["gda-train", csv_path, "--model-out", model_path, *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DegenerateKernel:")
+    assert not model_path.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_rbf_far_samples_evaluate_quietly(tmp_path, capsys):
     """An RBF distance that overflows is infinite, so k = 0: a valid answer."""

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from stratseg import (
 )
 from stratseg.kgda import (
     _CHUNK_ENTRIES,
+    _ExactScatter,
     _cross_kernel,
     _csv_lines,
+    _magnitude,
     _parse_joined,
     _parse_rows,
     read_csv,
@@ -351,6 +354,117 @@ def test_train_overflowing_kernel_rejected():
     data = LabeledDataset(x, [0, 0, 1, 1])
     with np.errstate(over="ignore"), pytest.raises(DegenerateKernel):
         train_gda(data, KernelSpec("linear"))
+
+
+NINE_ROWS = np.array(
+    [[0, 0], [0.5, 0.2], [0.1, 0.6], [4, 4], [4.4, 3.8], [3.9, 4.3], [0, 5], [0.3, 4.6], [-0.2, 5.2]]
+)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
+@pytest.mark.parametrize(
+    "scale, spec",
+    [
+        (1e78, KernelSpec("linear")),  # U_w overflows
+        (1e120, KernelSpec("linear")),  # the rank floor overflows
+        (1e150, KernelSpec("linear")),  # |K| near 1e300: a split at 2**(e + tau) would overflow
+        (1e25, KernelSpec("polynomial", degree=3)),  # U_b overflows
+        (1.0, KernelSpec("polynomial", degree=1, coef=1e300)),  # the rank floor overflows
+    ],
+)
+def test_train_huge_finite_kernel_is_degenerate(scale, spec):
+    data = LabeledDataset(NINE_ROWS * scale, np.repeat([0, 1, 2], 3))
+    with pytest.raises(DegenerateKernel, match="overflows float64"):
+        train_gda(data, spec)
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_huge_kernel_of_one_sample_classes_is_degenerate():
+    """U_w = 0 leaves B = 1e-12 I, so C^T B^-1 C ~ |K|^2 / 1e-12 overflows
+    although K, U_w and U_b are finite."""
+    x = np.array([[1e75, 0.0], [0.0, 1e75], [1e75, 1e75]])
+    with pytest.raises(DegenerateKernel, match="overflows float64"):
+        train_gda(LabeledDataset(x, [0, 1, 2]), KernelSpec("linear"))
+
+
+def split_scatter(k, labels):
+    _, inverse = np.unique(labels, return_inverse=True)
+    return _ExactScatter(k, _magnitude(k, axis=0).T, inverse, np.bincount(inverse)), inverse
+
+
+def fraction_means(k, groups):
+    """Exact mean of each row of k over each index group, as Fractions."""
+    rows = [[Fraction(v) for v in row] for row in k.tolist()]
+    return [[sum(row[j] for j in g) / len(g) for g in groups] for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_class_means_exact_to_one_rounding_of_the_remainder(seed):
+    """K @ E is exact in the split's leading part, so of each class mean, as
+    the pair hi + lo, only the float64 sum of the remainder (entries below
+    2**(e + tau - 53), 2**e bounding the row) and the division of lo round:
+    the pair is the exact mean to within n_c u 2**(e + tau - 53) + 2 u |lo|,
+    u = 2**-53, and a class of one sample gets its kernel entry exactly."""
+    rng = np.random.default_rng(seed)
+    m = 12
+    labels = rng.permutation(np.repeat([0, 1, 2, 3], [1, 1, 4, 6]))
+    a = rng.normal(size=(m, m)) * 10.0 ** rng.integers(-30, 31, size=(m, m))
+    k = np.triu(a) + np.triu(a, 1).T  # exactly symmetric, mixed magnitudes
+    exact, inverse = split_scatter(k, labels)
+    groups = [np.flatnonzero(inverse == c) for c in range(4)] + [np.arange(m)]
+    want = fraction_means(k, groups)
+    hi, lo = exact.means  # class means, then the global mean
+    u = 2.0**-53
+    for i in range(m):
+        unit = 2.0 ** (np.frexp(np.abs(k[i]).max())[1] + exact.tau - 53)
+        for c, g in enumerate(groups):
+            err = abs(Fraction(hi[i, c]) + Fraction(lo[i, c]) - want[i][c])
+            assert err <= Fraction(len(g) * u * unit + 2 * u * abs(lo[i, c]))
+            if len(g) == 1:
+                assert err == 0
+
+
+def fraction_residual(k, labels, eps, y):
+    """C - D (D^T y) / M - eps y in exact arithmetic, C = delta_c - delta_0,
+    with the norms of C, D and y for its scale."""
+    m = len(labels)
+    z = labels.max() + 1
+    means = fraction_means(k, [np.flatnonzero(labels == c) for c in range(z)] + [np.arange(m)])
+    c = [[means[i][j] - means[i][z] for j in range(z)] for i in range(m)]
+    d = [[Fraction(k[i, j]) - means[i][labels[j]] for j in range(m)] for i in range(m)]
+    yf = [[Fraction(v) for v in row] for row in y.tolist()]
+    p = [[sum(d[i][j] * yf[i][t] for i in range(m)) for t in range(z)] for j in range(m)]
+    r = [
+        [c[i][t] - sum(d[i][j] * p[j][t] for j in range(m)) / m - Fraction(eps) * yf[i][t]
+         for t in range(z)]
+        for i in range(m)
+    ]
+    norm = lambda a: float(np.linalg.norm(np.array(a, dtype=float)))
+    return r, norm(c) + norm(d) ** 2 * np.linalg.norm(y) / m
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial"])
+def test_refinement_residual_matches_exact_fractions(kind, offset):
+    """The residual train_gda refines with, taken at the float64 solve of
+    B y = C, agrees with the exact one to 2**-60 of |C| + |D|^2 |y| / M.
+    An offset far from the origin makes the linear and polynomial K nearly
+    class-constant, |K| >> |D|, where a residual built from K rather than
+    from D would lose those bits."""
+    rng = np.random.default_rng(11)
+    labels = np.repeat([0, 1, 2], [1, 4, 7])
+    m = len(labels)
+    x = rng.normal(size=(m, 2)) + labels[:, None] + offset
+    k = compute_kernel_matrix(LabeledDataset(x, labels), KernelSpec(kind))
+    exact, _ = split_scatter(k, labels)
+    b = exact.dev @ exact.dev.T / m
+    eps = regularization_epsilon(b)
+    b.flat[:: m + 1] += eps
+    y = np.linalg.solve(b, exact.c[0])
+    r = exact.residual(y, eps)
+    want, scale = fraction_residual(k, labels, eps, y)
+    err = max(abs(Fraction(r[i, t]) - want[i][t]) for i in range(m) for t in range(3))
+    assert err <= 2.0**-60 * scale
 
 
 def test_low_rank_and_full_pencil_routes_agree():

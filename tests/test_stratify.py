@@ -233,10 +233,14 @@ def test_build_leaves_no_reference_cycles():
     # a cycle would keep the image and the tile grid alive until the cyclic
     # collector runs, so memory would grow over repeated builds
     img = disk_image(600, 520)
+    policy = SplitPolicy(max_depth=8, min_side=2, var_threshold=0.0)
+    # numpy's lazy set-up on its first calls in a process leaves cyclic
+    # garbage of its own; a warm-up build pays it before the count
+    build_quadtree(img, policy)
     gc.collect()
     gc.disable()
     try:
-        build_quadtree(img, SplitPolicy(max_depth=8, min_side=2, var_threshold=0.0))
+        build_quadtree(img, policy)
         assert gc.collect() == 0
     finally:
         gc.enable()
