@@ -34,8 +34,10 @@ _BAND_PIXELS = 1 << 18  # pixels per bincount call in bin_rows: 64 rows of 4096
 # thread. Below it, starting the thread and passing the GIL between many short
 # numpy calls cost more than the helper saves: on a 2-core x86 host the tile
 # grid broke even near 1 Mpx and the stitch near 2-4 Mpx, and at 2 Mpx the
-# two passes took 20% less time. A one-CPU machine never starts the helper.
-_HELPER_PIXELS = 1 << 21 if (os.cpu_count() or 1) > 1 else math.inf
+# two passes took 20% less time. A process allowed one CPU never starts the
+# helper; os.cpu_count() counts the machine's CPUs, not the ones it may run on.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+_HELPER_PIXELS = 1 << 21 if (_CPUS or 1) > 1 else math.inf
 
 
 @dataclass(frozen=True)

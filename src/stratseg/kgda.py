@@ -1,17 +1,17 @@
 """Kernel generalized discriminant analysis.
 
-Class scatter is expressed entirely through the training kernel matrix:
-columns of K play the role of mapped samples, class/global kernel means
-replace feature-space means, and discriminant directions are coefficient
-vectors solving the generalized eigenproblem of the between-class against
-the (regularized) within-class kernel scatter. The between-class scatter
-has rank at most Z - 1, so the M x M pencil is reduced to a Z x Z symmetric
-eigenproblem. Training runs in float64 throughout. The class means and the
-residual of the refinement of B^-1 C, B = U_w + eps I, are error-free
-float64 products: K is split once into a leading part whose BLAS products
-are exact and a remainder, and two-sums carry each result as a hi + lo
-pair. The discriminants are made orthonormal in the metric of B by
-Cholesky QR.
+Class scatter is expressed through the training kernel matrix K: its
+columns stand in for mapped samples and class kernel means for feature-space
+means; copies of a sample get bit-equal rows and columns of K. Discriminant
+directions are coefficient vectors solving the pencil of the between- against
+the regularized within-class kernel scatter, whose rank of at most Z - 1
+reduces it to a Z x Z symmetric eigenproblem. Training runs in float64. The
+class means and the residual of the refinement of B^-1 C, B = U_w + eps I,
+are error-free float64 products: K is split once into a leading part whose
+BLAS products are exact and a remainder, and two-sums carry each result as a
+hi + lo pair; nothing reads K after that. A class's mean in discriminant
+space is its kernel mean times the coefficients. The discriminants are made
+orthonormal in the metric of B by Cholesky QR.
 
 RBF distances use the Gram expansion ||x||^2 + ||y||^2 - 2 x.y (one BLAS
 product) on features centred at the training mean. `project` fills its
@@ -163,22 +163,21 @@ def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 def compute_kernel_matrix(data: LabeledDataset, spec: KernelSpec) -> np.ndarray:
     """M x M training kernel matrix, exactly symmetric (upper triangle
-    mirrored) and with no -0.0 entry. Under RBF the entry of two samples with
-    equal bits, the diagonal included, is exactly 1, i.e. exp(-gamma * 0): the
-    Gram expansion would leave rounding of about gamma ||x - mean||^2 ulps
-    there."""
+    mirrored), with no -0.0 entry and an RBF diagonal of exactly 1. A sample
+    whose bits equal an earlier sample's takes that sample's row and column."""
     x = data.samples
     m = len(x)
     k = _cross_kernel(x, x, spec)
     np.copyto(k, k.T, where=np.tri(m, k=-1, dtype=bool))
-    if spec.kind != "rbf":
-        k += 0.0  # -0.0 becomes +0.0; exp never gives -0.0
-        return k
-    uniq, row = np.unique(x.view(np.dtype((np.void, x.strides[0]))).ravel(), return_inverse=True)
-    if len(uniq) == m:  # all samples distinct: only the diagonal
-        k.flat[:: m + 1] = 1.0
+    if spec.kind == "rbf":
+        k.flat[:: m + 1] = 1.0  # exp(-gamma * 0), where the Gram expansion leaves rounding
     else:
-        k[row[:, None] == row] = 1.0
+        k += 0.0  # -0.0 becomes +0.0; exp never gives -0.0
+    keys = x.view(np.dtype((np.void, x.strides[0]))).ravel()  # a row's bytes
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    dup = np.flatnonzero(first[inverse] != np.arange(m))  # BLAS may round copies apart
+    k[dup] = k[first[inverse[dup]]]
+    k[:, dup] = k[:, first[inverse[dup]]]  # entry (i, j) is now their first copies' entry
     return k
 
 
@@ -447,6 +446,8 @@ def train_gda(
         floor = 100 * m * (np.finfo(np.float64).eps * k_max) ** 2
         _require_finite("the rank floor", floor)
         exact = _ExactScatter(k, rows, inverse, counts)
+        del k  # freed: nothing reads K after the scatter
+        deltas = exact.means[0][:, :z]  # class kernel means, one column per class
         dev = exact.dev  # kernel columns minus their class means
         b = dev @ dev.T
         b /= m  # U_w
@@ -482,9 +483,7 @@ def train_gda(
         etas = ((c_b.T @ sigmas) ** 2).sum(axis=0)  # sigma^T B sigma = I
         peak = np.abs(sigmas).argmax(axis=0)
         sigmas *= np.sign(sigmas[peak, np.arange(d_eff)])
-
-        proj = k @ sigmas  # row j = projection of training sample j
-        class_means = np.stack([proj[inverse == i].mean(axis=0) for i in range(z)])
+        class_means = deltas.T @ sigmas  # mean of K sigma's rows over each class
     return GdaModel(
         samples=data.samples,
         labels=data.labels,

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -193,7 +196,7 @@ def test_keyed_binning_into_a_given_buffer_matches_a_flat_count(rows):
 
 
 # from `_HELPER_PIXELS` pixels on, the upper half runs on a helper thread;
-# on a one-CPU machine `_HELPER_PIXELS` is infinite
+# in a process allowed one CPU `_HELPER_PIXELS` is infinite
 @pytest.mark.parametrize(
     "helper_pixels, size, two", [(100, 100, True), (100, 99, False), (math.inf, 10**12, False)]
 )
@@ -204,6 +207,21 @@ def test_halves_run_on_two_threads_from_a_size_on(monkeypatch, helper_pixels, si
                lambda: seen.update(upper=threading.get_ident()), size)
     assert seen["lower"] == threading.get_ident()
     assert (seen["upper"] != seen["lower"]) == two
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_a_process_allowed_one_cpu_never_starts_the_helper():
+    """The CPU count is the process's affinity, not the machine's CPUs."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imgio.__file__)))
+    code = (
+        "import math, os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from stratseg import imgio\n"
+        "assert imgio._HELPER_PIXELS == math.inf, imgio._HELPER_PIXELS\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("fails", ["upper", "both"])

@@ -144,6 +144,37 @@ def test_rbf_gram_expansion_matches_broadcast_reference(n, offset):
         assert np.array_equal(k, k.T)
 
 
+def mirrored_kernel(x, spec):
+    """K without the copy rule: the upper triangle of the kernel block
+    mirrored, no -0.0, and under RBF a unit diagonal."""
+    k = _cross_kernel(x, x, spec)
+    k = np.triu(k) + np.triu(k, 1).T
+    if spec.kind == "rbf":
+        np.fill_diagonal(k, 1.0)
+    return k
+
+
+@pytest.mark.parametrize(
+    "spec", [KernelSpec("linear"), KernelSpec("rbf"), KernelSpec("polynomial", degree=3)],
+    ids=lambda s: s.kind,
+)
+def test_kernel_copies_take_their_first_samples_row_and_column(spec):
+    """Copies, shuffled and not adjacent, get bit-equal rows and columns of K,
+    and K of distinct rows is the mirrored kernel block, bit for bit."""
+    rng = np.random.default_rng(71)
+    base = rng.normal(size=(9, 3)) * 3 + 50.0
+    k = compute_kernel_matrix(LabeledDataset(base, np.arange(9) % 2), spec)
+    assert k.tobytes() == mirrored_kernel(base, spec).tobytes()
+    which = rng.permutation(np.r_[np.arange(9), [4, 7, 4, 0]])
+    x = base[which]
+    k = compute_kernel_matrix(LabeledDataset(x, np.arange(13) % 2), spec)
+    first = np.array([np.flatnonzero(which == w)[0] for w in which])
+    assert k.tobytes() == mirrored_kernel(x, spec)[first][:, first].tobytes()
+    for i in range(13):
+        same = which == which[i]
+        assert np.all(k[same] == k[i]) and np.all(k[:, same] == k[:, [i]])
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("sigmoid")
@@ -323,6 +354,24 @@ def test_identical_classes_give_no_discriminant(spec):
         assert model.class_means.shape == (3, 0)
         assert not model.achieved_all
     assert load_model(save_model(model)).n_discriminants == 0
+
+
+def test_copies_of_a_tight_group_far_from_the_mean_give_no_discriminant():
+    """Under RBF the Gram expansion rounds the distances inside a tight group
+    far from the mean by about u gamma ||x - mean||^2, differently for a row
+    and its copy; copies take their first sample's row and column of K, so
+    copied classes still have equal kernel means."""
+    for seed in range(20):
+        for far in (1e2, 1e4, 1e6):
+            rng = np.random.default_rng(seed)
+            n, size, copies = rng.integers(1, 5), rng.integers(1, 7), rng.integers(2, 4)
+            towards = rng.normal(size=n)
+            group = towards / np.linalg.norm(towards) * far + rng.normal(size=(size, n))
+            base = np.vstack([group, -group, rng.normal(size=(2, n))])
+            data = LabeledDataset(np.vstack([base] * copies), np.repeat(np.arange(copies), len(base)))
+            for gamma in (1.0 / n, 1.0):
+                model = train_gda(data, KernelSpec("rbf", gamma=gamma))
+                assert model.n_discriminants == 0, (seed, far, gamma)
 
 
 def test_rank_floor_keeps_a_small_feature_beside_a_large_constant_one():
@@ -680,9 +729,8 @@ def test_class_means_are_projected_training_means():
     model = train_gda(data, KernelSpec("rbf"))
     proj = project(model, data.samples)
     for i, c in enumerate(model.classes):
-        assert np.allclose(
-            model.class_means[i], proj[data.labels == c].mean(axis=0), atol=1e-10
-        )
+        want = proj[data.labels == c].mean(axis=0)
+        assert np.abs(model.class_means[i] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_classify_recovers_well_separated_classes():
