@@ -18,7 +18,6 @@ from stratseg import (
     LabeledDataset,
     classify_nearest_mean,
     compute_kernel_matrix,
-    kernel_class_means,
     project,
     scatter_matrices,
     train_gda,
@@ -65,7 +64,8 @@ print(f"\n3-class model: d = {model.n_discriminants}, "
 # and D the class-centred kernel columns; both are applied in factored form
 k = compute_kernel_matrix(train3, spec)
 m = len(train3.labels)
-deltas, delta0 = kernel_class_means(k, train3.labels)
+s = scatter_matrices(k, train3.labels)
+deltas, delta0 = s.class_means, k.mean(axis=1)
 counts = np.bincount(train3.labels)
 c_b = ((deltas - delta0) * np.sqrt(counts / m)[:, None]).T
 dev = k - deltas[train3.labels].T
@@ -83,7 +83,6 @@ orth = np.abs(sig.T @ b_sig - np.eye(model.n_discriminants)).max()
 print(f"max |sigma^T (U_w + eps I) sigma - I| = {orth:.1e}")
 
 # the scatter identity the matrices satisfy by construction
-s = scatter_matrices(k, train3.labels)
 rel = np.linalg.norm(s.u_t - s.u_b - s.u_w, "fro") / np.linalg.norm(s.u_t, "fro")
 print(f"||U_t - U_b - U_w||_F / ||U_t||_F = {rel:.2e}")
 

@@ -8,8 +8,6 @@ from .kgda import (
     ScatterMatrices,
     classify_nearest_mean,
     compute_kernel_matrix,
-    fisher_criterion,
-    kernel_class_means,
     load_dataset_csv,
     load_model,
     project,

@@ -45,10 +45,6 @@ class DimensionMismatch(StratsegError):
     """Vector or matrix dimensions disagree."""
 
 
-class ZeroVector(StratsegError):
-    """A nonzero vector was required."""
-
-
 class DegenerateKernel(StratsegError):
     """Kernel matrix is numerically zero."""
 

@@ -5,7 +5,7 @@ columns stand in for mapped samples and class kernel means for feature-space
 means; copies of a sample get bit-equal rows and columns of K. Discriminant
 directions are coefficient vectors solving the pencil of the between- against
 the regularized within-class kernel scatter, whose rank of at most Z - 1
-reduces it to a Z x Z symmetric eigenproblem. Training runs in float64. The
+reduces it to a Z x Z symmetric eigenproblem. Everything runs in float64. The
 class means and the residual of the refinement of B^-1 C, B = U_w + eps I,
 are error-free float64 products: K is split once into a leading part whose
 BLAS products are exact and a remainder, and two-sums carry each result as a
@@ -35,7 +35,6 @@ from .errors import (
     InvalidArgument,
     InvalidDataset,
     InvalidModel,
-    ZeroVector,
     real_number,
     whole_number,
 )
@@ -46,9 +45,7 @@ __all__ = [
     "ScatterMatrices",
     "GdaModel",
     "compute_kernel_matrix",
-    "kernel_class_means",
     "scatter_matrices",
-    "fisher_criterion",
     "train_gda",
     "project",
     "classify_nearest_mean",
@@ -82,14 +79,6 @@ class LabeledDataset:
             raise DimensionMismatch("one label per sample required")
         object.__setattr__(self, "samples", x)
         object.__setattr__(self, "labels", y)
-
-    @property
-    def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
-
-    @property
-    def n_features(self) -> int:
-        return self.samples.shape[1]
 
 
 def _int64_labels(labels) -> np.ndarray:
@@ -181,46 +170,31 @@ def compute_kernel_matrix(data: LabeledDataset, spec: KernelSpec) -> np.ndarray:
     return k
 
 
-def kernel_class_means(k: np.ndarray, labels) -> tuple:
-    """Per-class and global averages of kernel-matrix columns.
-
-    Returns (deltas, delta0): deltas has one row per class in ascending
-    label order; delta0 is the global column mean.
-    """
-    return _class_means(k, labels)[:2]
-
-
-def _class_means(k: np.ndarray, labels) -> tuple:
-    """kernel_class_means plus each column's row of deltas (the class inverse)."""
-    classes, inverse = np.unique(labels, return_inverse=True)
-    deltas = [k[:, inverse == i].mean(axis=1) for i in range(len(classes))]
-    return np.stack(deltas), k.mean(axis=1), inverse
-
-
 @dataclass(frozen=True)
 class ScatterMatrices:
-    """Between/within/total kernel scatter with the kernel mean vectors."""
+    """Between/within/total kernel scatter with the class kernel means."""
 
     u_b: np.ndarray
     u_w: np.ndarray
     u_t: np.ndarray
-    class_means: np.ndarray  # (Z, M)
-    global_mean: np.ndarray  # (M,)
+    class_means: np.ndarray  # (Z, M), one row per class in ascending label order
 
 
 def scatter_matrices(k: np.ndarray, labels) -> ScatterMatrices:
-    """Kernel scatter matrices; satisfies u_t = u_b + u_w and all three PSD.
+    """Kernel scatter matrices in float64; satisfies u_t = u_b + u_w and all
+    three PSD.
 
     U_b = c_b c_b^T with c_b the (M, Z) columns (delta_c - delta_0)
-    sqrt(n_c / M), and U_w = dev dev^T / M with dev the kernel columns minus
-    their class means. They are formed in k's dtype when it is wider than
-    float64 (longdouble); any other k is taken as float64.
+    sqrt(n_c / M), delta_c the mean of class c's kernel columns and delta_0
+    the mean of all of them, and U_w = dev dev^T / M with dev the kernel
+    columns minus their class means.
     """
-    k = np.asarray(k)
-    k = k.astype(np.result_type(k, np.float64), copy=False)
+    k = np.asarray(k, dtype=np.float64)
     m = k.shape[0]
-    deltas, delta0, inverse = _class_means(k, np.asarray(labels))
-    counts = np.bincount(inverse).astype(k.dtype)
+    classes, inverse = np.unique(labels, return_inverse=True)
+    deltas = np.stack([k[:, inverse == i].mean(axis=1) for i in range(len(classes))])
+    delta0 = k.mean(axis=1)
+    counts = np.bincount(inverse)
     c_b = ((deltas - delta0) * np.sqrt(counts / m)[:, None]).T
     dev_w = k - deltas[inverse].T  # column j minus its class mean
     u_b = c_b @ c_b.T
@@ -228,27 +202,13 @@ def scatter_matrices(k: np.ndarray, labels) -> ScatterMatrices:
     dev_t = k - delta0[:, None]
     u_t = dev_t @ dev_t.T / m
     sym = lambda a: (a + a.T) / 2
-    return ScatterMatrices(sym(u_b), sym(u_w), sym(u_t), deltas, delta0)
+    return ScatterMatrices(sym(u_b), sym(u_w), sym(u_t), deltas)
 
 
 def regularization_epsilon(u_w: np.ndarray) -> float:
     """Trace-scaled ridge added to the within-class scatter (floor 1e-12)."""
     m = u_w.shape[0]
-    return max(1e-8 * float(np.trace(u_w.astype(np.float64, copy=False))) / m, 1e-12)
-
-
-def fisher_criterion(sigma: np.ndarray, s: ScatterMatrices, eps: Optional[float] = None) -> float:
-    """Rayleigh quotient of between- over regularized within-class scatter."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.shape != (s.u_b.shape[0],):
-        raise DimensionMismatch("sigma length must match scatter dimension")
-    if not np.any(sigma):
-        raise ZeroVector("sigma must be nonzero")
-    if eps is None:
-        eps = regularization_epsilon(s.u_w)
-    num = sigma @ s.u_b @ sigma
-    den = sigma @ s.u_w @ sigma + eps * (sigma @ sigma)
-    return float(num / den)
+    return max(1e-8 * float(np.trace(u_w)) / m, 1e-12)
 
 
 @dataclass(frozen=True)
@@ -667,32 +627,35 @@ def load_model(text: str) -> GdaModel:
         spec = KernelSpec(
             kind=kern["kind"], gamma=kern["gamma"], degree=kern["degree"], coef=kern["coef"]
         )
-        m = len(doc["labels"])
-        samples = np.array(doc["samples"], dtype=np.float64)
-        sig = np.array(doc["sigmas"], dtype=np.float64).reshape(m, -1)
-        means = np.array(doc["class_means"], dtype=np.float64).reshape(
-            len(doc["classes"]), -1
-        )
-        etas = np.array(doc["etas"], dtype=np.float64)
-        eps = float(doc["eps"])
+        fields = ("samples", "sigmas", "class_means", "etas", "labels", "classes")
+        # a string, bool or null entry gives an array of another kind than int or float
+        a = {f: np.array(doc[f]) for f in fields}
+        eps = real_number("eps", doc["eps"], InvalidModel)
+        for name, v in (*a.items(), ("eps", np.array(eps))):
+            if v.dtype.kind not in "iuf" or not np.all(np.isfinite(v)):
+                raise InvalidModel(f"{name} must hold finite numbers only")
+        m = len(a["labels"])
+        samples, sig, means, etas = (a[f].astype(np.float64, copy=False) for f in fields[:4])
+        sig, means = sig.reshape(m, -1), means.reshape(len(a["classes"]), -1)
+        labels, classes = _int64_labels(a["labels"]), _int64_labels(a["classes"])
+        if np.any(classes[1:] <= classes[:-1]):
+            raise InvalidModel("classes must be strictly ascending")
+        if not isinstance(doc["achieved_all"], bool):
+            raise InvalidModel("achieved_all must be true or false")
         if samples.ndim != 2 or len(samples) != m or means.shape[1] != sig.shape[1]:
             raise InvalidModel("samples, labels, sigmas and class_means disagree in shape")
         if samples.shape[1] == 0:
             raise InvalidModel("samples must have at least one feature")
-        for name, a in (("samples", samples), ("sigmas", sig), ("class_means", means),
-                        ("etas", etas), ("eps", eps)):
-            if not np.all(np.isfinite(a)):
-                raise InvalidModel(f"{name} must be finite (no NaN or inf)")
         return GdaModel(
             samples=samples,
-            labels=_int64_labels(doc["labels"]),
+            labels=labels,
             spec=spec,
             sigmas=sig,
             etas=etas,
-            eps=eps,
-            classes=_int64_labels(doc["classes"]),
+            eps=float(eps),
+            classes=classes,
             class_means=means,
-            achieved_all=bool(doc["achieved_all"]),
+            achieved_all=doc["achieved_all"],
         )
     except KeyError as exc:
         raise InvalidModel(f"missing field {exc}") from None

@@ -6,15 +6,54 @@ extended precision, estimates its top eigenpairs with LAPACK and polishes
 each by Rayleigh-quotient inverse iteration carried out in numpy's
 `longdouble`. It costs O(M^3) longdouble work, so it serves only as a test
 reference on small problems.
+
+The kernel class means, the longdouble scatter and the Fisher criterion the
+tests check training against live here too; the library itself computes in
+float64 only.
 """
 
 import numpy as np
 from scipy.linalg import eigh
 
-from stratseg import compute_kernel_matrix, scatter_matrices
+from stratseg import ScatterMatrices, compute_kernel_matrix
 from stratseg.kgda import regularization_epsilon
 
 LD = np.longdouble
+
+
+def kernel_class_means(k: np.ndarray, labels) -> tuple:
+    """(deltas, delta0) in k's dtype: deltas holds the mean of each class's
+    kernel columns, one row per class in ascending label order, and delta0
+    the mean of all columns."""
+    classes, inverse = np.unique(labels, return_inverse=True)
+    deltas = [k[:, inverse == i].mean(axis=1) for i in range(len(classes))]
+    return np.stack(deltas), k.mean(axis=1)
+
+
+def scatter_ld(k: np.ndarray, labels) -> ScatterMatrices:
+    """`scatter_matrices` carried out in longdouble: U_b = c_b c_b^T with
+    c_b the columns (delta_c - delta_0) sqrt(n_c / M), U_w and U_t the
+    class-centred and globally centred kernel columns times their transposes
+    over M."""
+    k = np.asarray(k, dtype=LD)
+    m = k.shape[0]
+    deltas, delta0 = kernel_class_means(k, labels)
+    inverse = np.unique(labels, return_inverse=True)[1]
+    counts = np.bincount(inverse).astype(LD)
+    c_b = ((deltas - delta0) * np.sqrt(counts / m)[:, None]).T
+    dev_w = k - deltas[inverse].T  # column j minus its class mean
+    dev_t = k - delta0[:, None]
+    sym = lambda a: (a + a.T) / 2
+    return ScatterMatrices(
+        sym(c_b @ c_b.T), sym(dev_w @ dev_w.T / m), sym(dev_t @ dev_t.T / m), deltas
+    )
+
+
+def fisher_criterion(sigma: np.ndarray, s: ScatterMatrices, eps: float) -> float:
+    """Rayleigh quotient of between- over regularized within-class scatter."""
+    num = sigma @ s.u_b @ sigma
+    den = sigma @ s.u_w @ sigma + eps * (sigma @ sigma)
+    return float(num / den)
 
 
 def solve_ld(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,12 +135,12 @@ def full_pencil_discriminants(data, spec, d: int):
     """Top-d (sigmas, etas) of the full kernel scatter pencil, as float64.
 
     The pencil and eps are built exactly as in `train_gda`'s documented
-    problem: U_b and U_w from the longdouble kernel matrix, eps from
+    problem: U_b and U_w from the kernel matrix in longdouble, eps from
     `regularization_epsilon`, sigmas scaled to unit scatter-metric norm with
     their largest-magnitude entry positive.
     """
     k = compute_kernel_matrix(data, spec).astype(LD)
-    scat = scatter_matrices(k, data.labels)
+    scat = scatter_ld(k, data.labels)
     eps = regularization_epsilon(scat.u_w.astype(np.float64))
     uwe = scat.u_w + LD(eps) * np.eye(k.shape[0], dtype=LD)
     lams, vecs = top_pencil_eigenpairs(scat.u_b, uwe, d)

@@ -42,7 +42,7 @@ from stratseg import (
 from stratseg.cli import main as cli_main
 from stratseg.stratify import _stats
 
-from pencil_reference import full_pencil_discriminants
+from pencil_reference import full_pencil_discriminants, scatter_ld
 
 LD = np.longdouble
 
@@ -267,9 +267,8 @@ def test_criterion_5_eigen_system_correctness():
     for model in model_zoo():
         n_models += 1
         data = LabeledDataset(model.samples, model.labels)
-        k = compute_kernel_matrix(data, model.spec).astype(LD)
-        s = scatter_matrices(k, model.labels)
-        uwe = s.u_w + LD(model.eps) * np.eye(k.shape[0], dtype=LD)
+        s = scatter_ld(compute_kernel_matrix(data, model.spec), model.labels)
+        uwe = s.u_w + LD(model.eps) * np.eye(len(model.labels), dtype=LD)
         sig = model.sigmas.astype(LD)
         # normwise backward error of each eigenpair against the pencil,
         # ||U_b s - eta U_we s|| / ((||U_b|| + |eta| ||U_we||) ||s||)

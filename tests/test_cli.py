@@ -601,6 +601,8 @@ def test_cli_help_exits_0(capsys, args):
     "text",
     ["{not json", "{}", "flat samples", "fractional degree", "nan sigma", "zero-feature samples",
      "class 1e308", "class 2**70", "fractional classes", "fractional labels",
+     "string sigmas", "string samples", "string labels", "string eps", "bool eps",
+     "string achieved_all", "unsorted classes", "repeated classes",
      pytest.param(DEEP_JSON, id="deep nesting")],
 )
 def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
@@ -619,6 +621,17 @@ def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
             doc["samples"] = [[] for _ in doc["samples"]]
         elif text.startswith("class "):  # beyond int64
             doc["classes"][0] = 1e308 if text == "class 1e308" else 2**70
+        elif text == "string achieved_all":  # bool("no") is True
+            doc["achieved_all"] = "no"
+        elif text.startswith("string "):  # numbers written as JSON strings
+            key = text.split()[1]
+            doc[key] = json.loads(json.dumps(doc[key]), parse_float=str, parse_int=str)
+        elif text == "bool eps":
+            doc["eps"] = True
+        elif text == "unsorted classes":
+            doc["classes"] = doc["classes"][::-1]
+        elif text == "repeated classes":
+            doc["classes"][1] = doc["classes"][0]
         else:  # not whole numbers
             key = text.split()[1]
             doc[key] = [c + 0.5 for c in doc[key]]

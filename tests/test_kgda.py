@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -9,13 +12,12 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
+import stratseg
 from stratseg import (
     KernelSpec,
     LabeledDataset,
     classify_nearest_mean,
     compute_kernel_matrix,
-    fisher_criterion,
-    kernel_class_means,
     load_dataset_csv,
     load_model,
     project,
@@ -43,12 +45,16 @@ from stratseg.errors import (
     InvalidArgument,
     InvalidDataset,
     StratsegError,
-    ZeroVector,
 )
 
 from kernel_reference import reference_kernel
 from json_documents import json_documents
-from pencil_reference import full_pencil_discriminants
+from pencil_reference import (
+    fisher_criterion,
+    full_pencil_discriminants,
+    kernel_class_means,
+    scatter_ld,
+)
 
 LD = np.longdouble
 
@@ -66,9 +72,8 @@ def uwe_longdouble(model):
     """Between-class scatter and regularized within-class scatter of a model's
     training kernel, recomputed in extended precision."""
     data = LabeledDataset(model.samples, model.labels)
-    k = compute_kernel_matrix(data, model.spec).astype(LD)
-    s = scatter_matrices(k, model.labels)
-    uwe = s.u_w + LD(model.eps) * np.eye(k.shape[0], dtype=LD)
+    s = scatter_ld(compute_kernel_matrix(data, model.spec), model.labels)
+    uwe = s.u_w + LD(model.eps) * np.eye(len(model.labels), dtype=LD)
     return s.u_b, uwe
 
 
@@ -203,10 +208,12 @@ def test_kernel_spec_validation():
 
 def test_kernel_class_means_hand_computed():
     k = np.array([[1.0, 2.0, 3.0], [2.0, 5.0, 6.0], [3.0, 6.0, 9.0]])
-    deltas, delta0 = kernel_class_means(k, [0, 0, 1])
-    assert np.allclose(deltas[0], [1.5, 3.5, 4.5])  # mean of columns 0, 1
-    assert np.allclose(deltas[1], [3.0, 6.0, 9.0])
-    assert np.allclose(delta0, [2.0, 13.0 / 3.0, 6.0])
+    s = scatter_matrices(k, [0, 0, 1])
+    assert np.allclose(s.class_means[0], [1.5, 3.5, 4.5])  # mean of columns 0, 1
+    assert np.allclose(s.class_means[1], [3.0, 6.0, 9.0])
+    # the global mean [2, 13/3, 6] enters through U_t: the columns minus it,
+    # [[-1, 0, 1], [-7/3, 2/3, 5/3], [-3, 0, 3]], times their transpose over 3
+    assert np.allclose(s.u_t, [[2 / 3, 4 / 3, 2], [4 / 3, 26 / 9, 4], [2, 4, 6]])
 
 
 def test_class_means_weighted_average_is_global_mean():
@@ -214,9 +221,24 @@ def test_class_means_weighted_average_is_global_mean():
     labels = np.array([0] * 4 + [1] * 7 + [2] * 3)
     data = LabeledDataset(rng.normal(size=(14, 3)), labels)
     k = compute_kernel_matrix(data, KernelSpec("rbf"))
-    deltas, delta0 = kernel_class_means(k, labels)
+    deltas = scatter_matrices(k, labels).class_means
     counts = np.array([4, 7, 3]) / 14.0
-    assert np.allclose(counts @ deltas, delta0, atol=1e-12)
+    assert np.allclose(counts @ deltas, k.mean(axis=1), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial"])
+def test_longdouble_reference_scatter_agrees_with_the_library(kind):
+    """The tests' longdouble scatter of a float64 K and the library's float64
+    one agree to 1e-12 of each matrix's largest entry, so the two formulas
+    cannot drift apart."""
+    rng = np.random.default_rng(44)
+    data = blobs(rng, [(0, 0, 0), (3, 1, 0), (1, 4, 2)], n_per=9)
+    k = compute_kernel_matrix(data, KernelSpec(kind))
+    got, want = scatter_matrices(k, data.labels), scatter_ld(k, data.labels)
+    for name in ("u_b", "u_w", "u_t", "class_means"):
+        a, b = getattr(got, name), getattr(want, name).astype(np.float64)
+        assert a.dtype == np.float64
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
 def test_scatter_total_is_between_plus_within():
@@ -274,8 +296,6 @@ def test_fisher_criterion_scale_invariant_and_matches_eigenvalue():
     assert fisher_criterion(5.0 * v, s, eps=model.eps) == pytest.approx(
         fisher_criterion(v, s, eps=model.eps), rel=1e-10
     )
-    with pytest.raises(ZeroVector):
-        fisher_criterion(np.zeros(len(sig)), s)
 
 
 def test_fisher_criterion_maximal_at_first_discriminant():
@@ -645,6 +665,55 @@ def test_non_finite_features_rejected(bad):
         project(model, np.array([0.5, bad]))
     with pytest.raises(InvalidDataset):
         classify_nearest_mean(model, x)
+
+
+THREADS_SCRIPT = """
+import sys
+import numpy as np
+from stratseg import KernelSpec, LabeledDataset, classify_nearest_mean, compute_kernel_matrix, train_gda
+out = {}
+for m in (160, 600):
+    rng = np.random.default_rng(m)
+    centres = rng.normal(0.0, 3.0, size=(5, 8))
+    labels = np.arange(m) % 5
+    data = LabeledDataset(centres[labels] + rng.normal(size=(m, 8)), labels)
+    held_out = centres[rng.integers(0, 5, size=2000)] + rng.normal(size=(2000, 8))
+    for kind in ("linear", "rbf", "polynomial"):
+        spec = KernelSpec(kind)
+        model = train_gda(data, spec)
+        out[f"{kind}{m}_k"] = compute_kernel_matrix(data, spec)
+        out[f"{kind}{m}_predictions"] = classify_nearest_mean(model, held_out)
+        out[f"{kind}{m}_sigmas"] = model.sigmas
+        out[f"{kind}{m}_etas"] = model.etas
+        out[f"{kind}{m}_class_means"] = model.class_means
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_models_trained_with_one_and_two_blas_threads_agree_to_the_stated_bound(tmp_path):
+    """README's contract across BLAS thread counts, which change the
+    summation order of the LU and the products: K and held-out predictions
+    are equal; sigma agrees to 1e-9 of its largest entry, eta and the class
+    means to 1e-11 (measured at M = 160 and 600: at most 4.2e-11, under the
+    linear kernel, and 3.9e-13). The bytes may differ, so none are compared."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stratseg.__file__)))
+    runs = []
+    for threads in ("1", "2"):  # set before numpy is imported
+        path = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREADS_SCRIPT, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(np.load(path))
+    one, two = runs
+    for key in one.files:
+        a, b = one[key], two[key]
+        if key.endswith(("_k", "_predictions")):
+            assert np.array_equal(a, b), key
+        else:
+            bound = 1e-9 if key.endswith("_sigmas") else 1e-11
+            assert np.abs(a - b).max() <= bound * np.abs(a).max(), key
 
 
 # --- projection and classification ---------------------------------------------
