@@ -110,10 +110,6 @@ class Rect:
         if self.w < 1 or self.h < 1 or self.x0 < 0 or self.y0 < 0:
             raise ValueError(f"invalid rect {self!r}")
 
-    @property
-    def area(self) -> int:
-        return self.w * self.h
-
 
 _TOKEN = re.compile(rb"#[^\n]*|([^ \t\r\n#]+)")
 

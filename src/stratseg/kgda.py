@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -130,8 +131,6 @@ def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     IEEE arithmetic: an infinite RBF distance gives k = 0, and any other
     non-finite entry is reported by the caller.
     """
-    if x.shape[1] != y.shape[1]:
-        raise DimensionMismatch(f"feature dims differ: {x.shape[1]} vs {y.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "linear":
             return x @ y.T
@@ -221,9 +220,14 @@ class GdaModel:
     sigmas: np.ndarray  # (M, d) discriminant coefficient columns
     etas: np.ndarray  # (d,) nonincreasing eigenvalues
     eps: float
-    classes: np.ndarray  # (Z,) ascending class labels
     class_means: np.ndarray  # (Z, d) class means in discriminant space
     achieved_all: bool = True  # False when rank limited the discriminant count
+
+    @property
+    def classes(self) -> np.ndarray:
+        """(Z,) ascending class labels: the distinct training labels."""
+        # a set, not np.unique, whose first call in a process adds about 1 MiB of RSS
+        return np.array(sorted(set(self.labels.tolist())), dtype=np.int64)
 
     @property
     def n_discriminants(self) -> int:
@@ -453,7 +457,6 @@ def train_gda(
         sigmas=np.ascontiguousarray(sigmas),
         etas=etas,
         eps=eps,
-        classes=classes,
         class_means=class_means,
         achieved_all=d_eff == d_req,
     )
@@ -611,53 +614,55 @@ def save_model(model: GdaModel) -> str:
         "labels": model.labels.tolist(),
         "sigmas": model.sigmas.tolist(),
         "etas": model.etas.tolist(),
-        "classes": model.classes.tolist(),
         "class_means": model.class_means.tolist(),
         "achieved_all": model.achieved_all,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _holds_bool(v) -> bool:
+    """Whether v, parsed JSON that np.array reads as an array of numbers, holds a bool."""
+    while type(v) is list and v and type(v[0]) is list:
+        v = list(chain.from_iterable(v))  # one level flatter: the nesting is regular
+    return bool in set(map(type, v)) if type(v) is list else type(v) is bool
+
+
 def load_model(text: str) -> GdaModel:
-    """Inverse of save_model; malformed JSON or a missing or ill-typed field
-    raises InvalidModel."""
+    """Inverse of save_model; a malformed file raises InvalidModel. The training
+    set is checked as a LabeledDataset, whose distinct labels are the classes:
+    a `classes` key, which older versions wrote, is ignored."""
     try:
         doc = json.loads(text)
         kern = doc["kernel"]
         spec = KernelSpec(
             kind=kern["kind"], gamma=kern["gamma"], degree=kern["degree"], coef=kern["coef"]
         )
-        fields = ("samples", "sigmas", "class_means", "etas", "labels", "classes")
-        # a string, bool or null entry gives an array of another kind than int or float
+        fields = ("samples", "sigmas", "class_means", "etas", "labels")
+        # a string or null entry gives another kind than int or float; a bool among numbers does not
         a = {f: np.array(doc[f]) for f in fields}
         eps = real_number("eps", doc["eps"], InvalidModel)
         for name, v in (*a.items(), ("eps", np.array(eps))):
-            if v.dtype.kind not in "iuf" or not np.all(np.isfinite(v)):
+            if v.dtype.kind not in "iuf" or _holds_bool(doc[name]) or not np.all(np.isfinite(v)):
                 raise InvalidModel(f"{name} must hold finite numbers only")
-        m = len(a["labels"])
-        samples, sig, means, etas = (a[f].astype(np.float64, copy=False) for f in fields[:4])
-        sig, means = sig.reshape(m, -1), means.reshape(len(a["classes"]), -1)
-        labels, classes = _int64_labels(a["labels"]), _int64_labels(a["classes"])
-        if np.any(classes[1:] <= classes[:-1]):
-            raise InvalidModel("classes must be strictly ascending")
+        data = LabeledDataset(a["samples"], a["labels"])
+        sig, means, etas = (a[f].astype(np.float64, copy=False) for f in fields[1:4])
         if not isinstance(doc["achieved_all"], bool):
             raise InvalidModel("achieved_all must be true or false")
-        if samples.ndim != 2 or len(samples) != m or means.shape[1] != sig.shape[1]:
-            raise InvalidModel("samples, labels, sigmas and class_means disagree in shape")
-        if samples.shape[1] == 0:
-            raise InvalidModel("samples must have at least one feature")
-        return GdaModel(
-            samples=samples,
-            labels=labels,
+        model = GdaModel(
+            samples=data.samples,
+            labels=data.labels,
             spec=spec,
-            sigmas=sig,
+            sigmas=sig.reshape(len(data.labels), -1),
             etas=etas,
             eps=float(eps),
-            classes=classes,
             class_means=means,
             achieved_all=doc["achieved_all"],
         )
+        if means.shape != (len(model.classes), model.n_discriminants):
+            raise InvalidModel("class_means must hold one row per class and one column per sigma")
+        return model
     except KeyError as exc:
         raise InvalidModel(f"missing field {exc}") from None
-    except (InvalidDataset, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (InvalidDataset, DimensionMismatch, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise InvalidModel(str(exc)) from None

@@ -119,8 +119,6 @@ class PhantomSpec:
                 seed=doc.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-            if isinstance(exc, InvalidSpec):
-                raise
             raise InvalidSpec(str(exc)) from None
 
 

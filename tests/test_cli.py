@@ -219,6 +219,11 @@ def test_cli_missing_file_reports_category(tmp_path, capsys):
                 "--report-out", tmp_path / "r.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: IoError:")
+    img_path, _ = quadrant_pgm(tmp_path)  # an output into a missing directory
+    assert run(["segment", img_path, "--mask-out", tmp_path / "no" / "m.pgm",
+                "--report-out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: IoError:")
 
 
 def test_cli_malformed_image_reports_category(tmp_path, capsys):
@@ -600,10 +605,9 @@ def test_cli_help_exits_0(capsys, args):
 @pytest.mark.parametrize(
     "text",
     ["{not json", "{}", "flat samples", "fractional degree", "nan sigma", "zero-feature samples",
-     "class 1e308", "class 2**70", "fractional classes", "fractional labels",
-     "string sigmas", "string samples", "string labels", "string eps", "bool eps",
-     "string achieved_all", "unsorted classes", "repeated classes",
-     pytest.param(DEEP_JSON, id="deep nesting")],
+     "class 1e308", "class 2**70", "fractional classes", "fractional labels", "(M, 1) labels",
+     "string sigmas", "string samples", "string labels", "string eps", "bool eps", "bool sigma",
+     "string achieved_all", pytest.param(DEEP_JSON, id="deep nesting")],
 )
 def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
     csv_path, _ = blob_csv(tmp_path)
@@ -619,8 +623,13 @@ def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
             doc["sigmas"][0][0] = float("nan")
         elif text == "zero-feature samples":  # the RBF default gamma would be 1/0
             doc["samples"] = [[] for _ in doc["samples"]]
-        elif text.startswith("class "):  # beyond int64
-            doc["classes"][0] = 1e308 if text == "class 1e308" else 2**70
+        elif text.startswith("class ") or text == "fractional classes":
+            # the first class's label made one beyond int64 or not whole
+            first = doc["labels"][0]
+            new = {"class 1e308": 1e308, "class 2**70": 2**70}.get(text, first + 0.5)
+            doc["labels"] = [new if c == first else c for c in doc["labels"]]
+        elif text == "(M, 1) labels":
+            doc["labels"] = [[c] for c in doc["labels"]]
         elif text == "string achieved_all":  # bool("no") is True
             doc["achieved_all"] = "no"
         elif text.startswith("string "):  # numbers written as JSON strings
@@ -628,10 +637,8 @@ def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
             doc[key] = json.loads(json.dumps(doc[key]), parse_float=str, parse_int=str)
         elif text == "bool eps":
             doc["eps"] = True
-        elif text == "unsorted classes":
-            doc["classes"] = doc["classes"][::-1]
-        elif text == "repeated classes":
-            doc["classes"][1] = doc["classes"][0]
+        elif text == "bool sigma":  # numpy would take it as 1.0
+            doc["sigmas"][0][0] = True
         else:  # not whole numbers
             key = text.split()[1]
             doc[key] = [c + 0.5 for c in doc[key]]

@@ -119,6 +119,8 @@ def test_save_of_load_is_a_fixed_point(data):
         (b"P2 2 1 255 7", TruncatedData),
         (b"", MalformedHeader),
         (b"P2 1 1 100 200", MalformedHeader),  # sample exceeds maxval
+        (b"P5 2 1 100 \x64\x65", MalformedHeader),  # a raster sample exceeds maxval
+        (b"P5 1 1 0 \x00", MalformedHeader),  # maxval 0
         (b"P2\n2 2\n255\n-5 10 20 30\n", MalformedHeader),  # negative sample
         (b"P2 1 1 255 " + b"9" * 30, MalformedHeader),  # beyond int64
         # header fields and samples are ASCII digit runs only
@@ -262,6 +264,12 @@ def test_grayimage_immutable():
     img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         img.pixels[0, 0] = 1
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 4), (2, 2, 1)], ids=["1-D", "empty", "3-D"])
+def test_grayimage_rejects_an_array_not_2d_or_empty(shape):
+    with pytest.raises(InvalidArgument, match="non-empty 2-D"):
+        GrayImage(np.zeros(shape, dtype=np.uint8))
 
 
 def test_grayimage_rejects_nan():

@@ -44,6 +44,7 @@ from stratseg.errors import (
     DimensionMismatch,
     InvalidArgument,
     InvalidDataset,
+    InvalidModel,
     StratsegError,
 )
 
@@ -986,8 +987,9 @@ def test_gda_project_reads_csv_like_gda_eval(tmp_path, text, header):
 
 
 def test_label_beyond_int64_is_an_error_not_an_overflow():
-    with pytest.raises(InvalidDataset, match="int64"):
-        LabeledDataset(np.zeros((2, 1)), [2**63, 0])
+    for labels in ([2**63, 0], [2**70, 0]):  # a uint64 array, and Python ints numpy keeps as objects
+        with pytest.raises(InvalidDataset, match="int64"):
+            LabeledDataset(np.zeros((2, 1)), labels)
     with pytest.raises(CsvParse, match=r"^row 1: label 99999999999999999999 does not fit in int64$"):
         load_dataset_csv("1.0,2.0,1\n1.0,2.0,99999999999999999999\n")
     edges = load_dataset_csv(f"1.0,{2**63 - 1}\n2.0,{-2**63}\n")
@@ -1004,6 +1006,12 @@ def test_fractional_or_wrapped_label_is_an_error():
     assert whole.dtype == np.int64 and whole.tolist() == [2, -1, 0]
     small = LabeledDataset(x, np.array([0, 1, 2**63 - 1], dtype=np.uint64)).labels
     assert small.tolist() == [0, 1, 2**63 - 1]
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [[0], [1], [1]]], ids=["fewer", "(M, 1)"])
+def test_one_label_per_sample_is_required(labels):
+    with pytest.raises(DimensionMismatch, match="one label per sample"):
+        LabeledDataset(np.zeros((3, 1)), labels)
 
 
 def test_zero_feature_samples_are_an_error():
@@ -1034,6 +1042,19 @@ def test_model_roundtrip_exact_fields_and_projections():
     assert back.eps == model.eps and back.spec == model.spec
     u = rng.normal(size=(5, 2))
     assert np.allclose(project(back, u), project(model, u), rtol=1e-12, atol=1e-12)
+
+
+def test_model_classes_come_from_the_labels_and_a_legacy_classes_key_is_ignored():
+    rng = np.random.default_rng(68)
+    data = blobs(rng, [(0, 0), (6, 0), (0, 6)], n_per=6, sigma=0.4)
+    model = train_gda(data, KernelSpec("rbf", gamma=0.2))
+    text = save_model(model)
+    assert "classes" not in json.loads(text) and model.classes.tolist() == [0, 1, 2]
+    legacy = json.loads(text)
+    legacy["classes"] = [0, 1, 7]
+    back = load_model(json.dumps(legacy))
+    assert back.classes.tolist() == [0, 1, 2] and save_model(back) == text
+    assert classify_nearest_mean(back, data.samples).tolist() == data.labels.tolist()
 
 
 def test_regularization_epsilon_trace_scaled_with_floor():
@@ -1067,3 +1088,16 @@ def test_any_model_json_loads_and_projects_or_raises_stratseg_error(text):
         project(model, np.ones(model.samples.shape[1]))
     except StratsegError:
         pass
+
+
+@pytest.mark.parametrize("field", ["samples", "labels", "sigmas", "class_means", "etas"])
+def test_a_bool_among_a_model_files_numbers_is_invalid(field):
+    rng = np.random.default_rng(69)
+    doc = json.loads(save_model(train_gda(blobs(rng, [(0, 0), (4, 0), (0, 4)], n_per=3))))
+    inner = doc[field]
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = True
+    assert np.array(doc[field]).dtype.kind in "if"  # numpy takes the bool as 1 or 1.0
+    with pytest.raises(InvalidModel, match=f"^{field} must hold finite numbers only$"):
+        load_model(json.dumps(doc))
