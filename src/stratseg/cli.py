@@ -129,7 +129,8 @@ def cmd_gda_eval(args) -> int:
     pred = kgda.classify_nearest_mean(model, data.samples)
     correct = int(np.sum(pred == data.labels))
     confusion = {}
-    for c_true in np.unique(data.labels):
+    # a set, not np.unique, whose first call in a process adds about 1 MiB of RSS
+    for c_true in sorted(set(data.labels.tolist())):
         row = {}
         sel = pred[data.labels == c_true]
         for c_pred in model.classes:

@@ -17,6 +17,7 @@ RBF distances use the Gram expansion ||x||^2 + ||y||^2 - 2 x.y (one BLAS
 product) on features centred at the training mean. `project` fills its
 output in fixed row chunks, so a batch of any size never materializes its
 full kernel block; a projection that is not finite raises DegenerateKernel.
+The CSV reader and writer likewise hold one block of cells at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 _CHUNK_ENTRIES = 2**17  # kernel entries per row chunk in project (1 MiB of float64)
+_CSV_BLOCK_CHARS = 2**18  # characters of CSV text per block in read_csv and write_csv
 _FLOAT_MAX = sys.float_info.max  # compares exactly with an int of any size
 KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
@@ -572,27 +574,66 @@ def _parse_joined(lines: list, n_features: Optional[int] = None) -> Optional[tup
     return samples.reshape(len(lines), n), labels
 
 
+def _csv_blocks(text: str, header: bool):
+    """_csv_lines(text, header) as lists of lines from blocks of the text,
+    each cut after a newline about every _CSV_BLOCK_CHARS characters; blocks
+    with no data line are skipped."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CSV_BLOCK_CHARS - 1) + 1 or len(text)
+        lines = _csv_lines(text[start:end], header=False)
+        start = end
+        if header and lines:
+            del lines[0]
+            header = False
+        if lines:
+            yield lines
+
+
 def read_csv(text: str, header: bool = False, n_features: Optional[int] = None) -> tuple:
     """(samples, labels) of the non-blank lines; `header` drops the first.
     Rows are 'f1,...,fn,label' (CsvParse otherwise); with n_features they hold
     n_features cells and a trailing label on every row or on none
     (DimensionMismatch otherwise; labels is then None). A label beyond int64
-    is a CsvParse error."""
-    lines = _csv_lines(text, header)
-    parsed = _parse_joined(lines, n_features)
-    return _parse_rows(lines, n_features) if parsed is None else parsed
+    is a CsvParse error.
+
+    The text is parsed one block at a time, so only the block's cells are
+    held; where a block does not parse, or its layout differs from the first
+    block's, the row loop over the whole text names the first bad row."""
+    layout = lambda part: (part[0].shape[1], part[1] is None)  # features, and no label column
+    parts = []
+    for lines in _csv_blocks(text, header):
+        part = _parse_joined(lines, n_features)
+        if part is None or parts and layout(part) != layout(parts[0]):
+            return _parse_rows(_csv_lines(text, header), n_features)
+        parts.append(part)
+    if not parts:
+        return _parse_rows([], n_features)
+    samples, labels = zip(*parts)
+    return np.concatenate(samples), None if labels[0] is None else np.concatenate(labels)
+
+
+def _csv_rows(samples: np.ndarray, labels) -> str:
+    """The rows of write_csv, each ending in a newline."""
+    rows = [list(map(repr, row)) for row in samples.tolist()]
+    if labels is not None:
+        rows = [cells + [str(lab)] for cells, lab in zip(rows, labels.tolist())]
+    return "".join(",".join(cells) + "\n" for cells in rows)
 
 
 def write_csv(samples: np.ndarray, labels=None, prefix: Optional[str] = None) -> str:
     """Rows of shortest round-trip floats, each then its label if labels are
-    given; `prefix` adds the header line prefix0,prefix1,...[,label]."""
-    cols = [f"{prefix}{i}" for i in range(samples.shape[1])]
-    rows = [list(map(repr, row)) for row in samples.tolist()]
-    if labels is not None:
-        cols.append("label")
-        rows = [cells + [str(lab)] for cells, lab in zip(rows, labels.tolist())]
-    lines = ([] if prefix is None else [cols]) + rows
-    return "\n".join(map(",".join, lines)) + "\n"
+    given; `prefix` adds the header line prefix0,prefix1,...[,label]. Row
+    strings are built one block of rows at a time; no rows and no header
+    give one empty line."""
+    cols = [f"{prefix}{i}" for i in range(samples.shape[1])] + ["label"] * (labels is not None)
+    blocks = [] if prefix is None else [",".join(cols) + "\n"]
+    # a shortest float repr, or an int64, takes at most 24 characters and a comma
+    step = max(1, _CSV_BLOCK_CHARS // (25 * (samples.shape[1] + 1)))
+    for lo in range(0, len(samples), step):
+        block = slice(lo, lo + step)
+        blocks.append(_csv_rows(samples[block], None if labels is None else labels[block]))
+    return "".join(blocks) or "\n"
 
 
 def load_dataset_csv(text: str, header: bool = False) -> LabeledDataset:
@@ -660,6 +701,8 @@ def load_model(text: str) -> GdaModel:
         )
         if means.shape != (len(model.classes), model.n_discriminants):
             raise InvalidModel("class_means must hold one row per class and one column per sigma")
+        if etas.shape != (model.n_discriminants,):
+            raise InvalidModel("etas must hold one number per sigma")
         return model
     except KeyError as exc:
         raise InvalidModel(f"missing field {exc}") from None

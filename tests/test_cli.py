@@ -607,7 +607,8 @@ def test_cli_help_exits_0(capsys, args):
     ["{not json", "{}", "flat samples", "fractional degree", "nan sigma", "zero-feature samples",
      "class 1e308", "class 2**70", "fractional classes", "fractional labels", "(M, 1) labels",
      "string sigmas", "string samples", "string labels", "string eps", "bool eps", "bool sigma",
-     "string achieved_all", pytest.param(DEEP_JSON, id="deep nesting")],
+     "string achieved_all", "etas 2-D", "etas too long",
+     pytest.param(DEEP_JSON, id="deep nesting")],
 )
 def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
     csv_path, _ = blob_csv(tmp_path)
@@ -639,6 +640,10 @@ def test_cli_malformed_model_reports_category(tmp_path, capsys, command, text):
             doc["eps"] = True
         elif text == "bool sigma":  # numpy would take it as 1.0
             doc["sigmas"][0][0] = True
+        elif text == "etas 2-D":  # (2, d), not (d,)
+            doc["etas"] = [doc["etas"], doc["etas"]]
+        elif text == "etas too long":
+            doc["etas"].append(1.0)
         else:  # not whole numbers
             key = text.split()[1]
             doc[key] = [c + 0.5 for c in doc[key]]

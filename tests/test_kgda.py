@@ -13,6 +13,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import stratseg
+from stratseg import kgda
 from stratseg import (
     KernelSpec,
     LabeledDataset,
@@ -28,6 +29,7 @@ from stratseg import (
 )
 from stratseg.kgda import (
     _CHUNK_ENTRIES,
+    _CSV_BLOCK_CHARS,
     _ExactScatter,
     _cross_kernel,
     _csv_lines,
@@ -36,6 +38,7 @@ from stratseg.kgda import (
     _parse_rows,
     read_csv,
     regularization_epsilon,
+    write_csv,
 )
 from stratseg.cli import main
 from stratseg.errors import (
@@ -870,10 +873,27 @@ def _csv_outcome(parse):
     return data.samples.shape, data.samples.tolist(), data.labels.tolist()
 
 
+# CSV blocks of 1 and 8 characters cut the text after nearly every row
+SMALL_CSV_BLOCKS = (1, 8)
+
+
+def _at_block_sizes(call, sizes=(_CSV_BLOCK_CHARS, *SMALL_CSV_BLOCKS)):
+    """call() with the CSV block size set to each of `sizes` characters,
+    required to give the same at all of them."""
+    outcomes = []
+    for chars in sizes:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kgda, "_CSV_BLOCK_CHARS", chars)
+            outcomes.append(call())
+    assert all(o == outcomes[0] for o in outcomes), dict(zip(sizes, outcomes))
+    return outcomes[0]
+
+
 def assert_csv_paths_agree(text, header=False):
     """load_dataset_csv gives what the row loop alone gives: the same arrays,
-    or the same exception with the same message."""
-    fast = _csv_outcome(lambda: load_dataset_csv(text, header))
+    or the same exception with the same message, at the real block size and
+    at block sizes of a few characters."""
+    fast = _at_block_sizes(lambda: _csv_outcome(lambda: load_dataset_csv(text, header)))
     loop = _csv_outcome(lambda: LabeledDataset(*_parse_rows(_csv_lines(text, header))))
     assert fast == loop
     return fast
@@ -936,7 +956,7 @@ def _rows_outcome(parse):
 def test_feature_csv_one_pass_matches_row_loop(text, header, n_features):
     """With a feature count (as gda-project reads), read_csv gives what the
     row loop alone gives, labelled rows or not."""
-    fast = _rows_outcome(lambda: read_csv(text, header, n_features))
+    fast = _at_block_sizes(lambda: _rows_outcome(lambda: read_csv(text, header, n_features)))
     loop = _rows_outcome(lambda: _parse_rows(_csv_lines(text, header), n_features))
     assert fast == loop
 
@@ -961,6 +981,111 @@ def test_dataset_csv_one_pass_fixed_cases(text, header, fast):
         assert outcome[0] == (2, 2)
     else:
         assert outcome[0] is CsvParse
+
+
+FEATURE_ROWS = [f"{i}.5,{-i}" for i in range(6)]
+GOOD_ROWS = "".join(f"{row},{i % 3}\n" for i, row in enumerate(FEATURE_ROWS))  # rows 0-5
+CSV_BOUNDARY_CASES = [  # (text, header, n_features, samples shape or (error type, message))
+    pytest.param("\n \nf0,f1,label\n" + GOOD_ROWS, True, None, (6, 2), id="header after blanks"),
+    pytest.param("f0,f1\n\n" + "\n".join(FEATURE_ROWS), True, 2, (6, 2), id="unlabelled"),
+    pytest.param(GOOD_ROWS.replace("\n", "\n\n \n"), False, None, (6, 2), id="blank lines"),
+    pytest.param(GOOD_ROWS.replace("\n", "\r\n"), False, None, (6, 2), id="CRLF"),
+    # no newline to cut at: one block
+    pytest.param(GOOD_ROWS.replace("\n", "\r"), False, None, (6, 2), id="bare CR"),
+    pytest.param("", False, 2, (0, 2), id="empty"),
+    pytest.param("f0,f1,label\n \n", True, None, (CsvParse, "no data rows"), id="header only"),
+    # after a header and a blank line, named by its row among the data rows
+    pytest.param("f0,f1,label\n" + GOOD_ROWS + "\n7.0,x,1\n", True, None,
+                 (CsvParse, "row 6: could not convert string to float: 'x'"), id="late bad cell"),
+    pytest.param(GOOD_ROWS + "7.0,8.0,99999999999999999999\n", False, None,
+                 (CsvParse, "row 6: label 99999999999999999999 does not fit in int64"),
+                 id="late label beyond int64"),
+    pytest.param(GOOD_ROWS + "7.0,8.0,1,0\n", False, None,
+                 (CsvParse, "row 6: inconsistent column count"), id="late extra column"),
+    pytest.param(GOOD_ROWS + "7.0,8.0,1,0\n", False, 2,
+                 (DimensionMismatch, "row 6: 4 columns, model expects 2 features"),
+                 id="late extra feature column"),
+    pytest.param(GOOD_ROWS + "7.0,8.0\n", False, 2,
+                 (DimensionMismatch, "row 6: no label column, unlike row 0"), id="label disappears"),
+    pytest.param("7.0,8.0\n" + GOOD_ROWS, False, 2,
+                 (DimensionMismatch, "row 1: a label column, unlike row 0"), id="label appears"),
+]
+
+
+@pytest.mark.parametrize("text,header,n_features,want", CSV_BOUNDARY_CASES)
+def test_csv_blocks_cut_anywhere(text, header, n_features, want):
+    """read_csv at every block size from 1 character to the whole text, so
+    that a block boundary falls at every newline, gives what the row loop
+    over the whole text gives."""
+    parse = lambda: _rows_outcome(lambda: read_csv(text, header, n_features))
+    fast = _at_block_sizes(parse, range(1, len(text) + 2))
+    assert fast == _rows_outcome(lambda: _parse_rows(_csv_lines(text, header), n_features))
+    assert (fast if isinstance(want[0], type) else fast[0]) == want
+
+
+def _write_csv_reference(samples, labels=None, prefix=None):
+    """write_csv as one block: every row's cells at once."""
+    cols = [f"{prefix}{i}" for i in range(samples.shape[1])]
+    rows = [list(map(repr, row)) for row in samples.tolist()]
+    if labels is not None:
+        cols.append("label")
+        rows = [cells + [str(lab)] for cells, lab in zip(rows, labels.tolist())]
+    lines = ([] if prefix is None else [cols]) + rows
+    return "\n".join(map(",".join, lines)) + "\n"
+
+
+@st.composite
+def csv_tables(draw):
+    """(samples, labels or None) of 0 to 12 rows and 0 to 4 columns."""
+    shape = (draw(st.integers(0, 12)), draw(st.integers(0, 4)))
+    samples = np.array(draw(st.lists(st.floats(), min_size=shape[0] * shape[1],
+                                     max_size=shape[0] * shape[1]))).reshape(shape)
+    labels = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=shape[0],
+                                    max_size=shape[0])), dtype=np.int64)
+    return samples, draw(st.sampled_from([labels, None]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(table=csv_tables(), prefix=st.sampled_from([None, "f", "g"]))
+@example(table=(np.zeros((0, 2)), None), prefix=None)
+@example(table=(np.zeros((0, 2)), None), prefix="g")
+@example(table=(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)), prefix=None)
+@example(table=(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)), prefix="f")
+def test_write_csv_matches_one_block(table, prefix):
+    """write_csv gives the bytes the one-block writer gives, zero rows
+    included, with blocks of one row up to the whole table."""
+    samples, labels = table
+    want = _write_csv_reference(samples, labels, prefix)
+    sizes = (_CSV_BLOCK_CHARS, *SMALL_CSV_BLOCKS, 100, 300)  # 100 and 300: blocks of 1 to 12 rows
+    assert _at_block_sizes(lambda: write_csv(samples, labels, prefix), sizes) == want
+
+
+def test_csv_memory_grows_with_the_output_alone():
+    """From N to 4N rows, the peak traced memory of read_csv and of write_csv
+    grows by at most twice the growth of what they return (at the end the
+    blocks' results and their concatenation or join are both held) plus
+    256 KiB, not by the cells of the whole text."""
+    rng = np.random.default_rng(71)
+    x, y = rng.normal(size=(12000, 8)), rng.integers(0, 4, 12000)
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, out
+
+    def peaks_and_outputs(rows):  # one row for write_csv, one for read_csv
+        write_peak, text = traced(lambda: write_csv(x[:rows], y[:rows]))
+        read_peak, (samples, labels) = traced(lambda: read_csv(text))
+        assert np.array_equal(samples, x[:rows]) and np.array_equal(labels, y[:rows])
+        return np.array([[write_peak, sys.getsizeof(text)],
+                         [read_peak, samples.nbytes + labels.nbytes]])
+
+    grew = peaks_and_outputs(12000) - peaks_and_outputs(3000)
+    assert np.all(grew[:, 0] <= 2 * grew[:, 1] + 2**18), grew
 
 
 @pytest.mark.parametrize("text,header", [(t, h) for t, h, fast in CSV_FIXED_CASES if fast])
