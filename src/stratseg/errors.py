@@ -87,8 +87,14 @@ def whole_number(name: str, value, error=InvalidArgument) -> int:
 
 
 def real_number(name: str, value, error=InvalidArgument):
-    """`value`, unchanged, when it is a real number (an int or a float, numpy's
-    included); anything else, bools included, raises `error`."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return value
-    raise error(f"{name} must be a number, got {value!r}")
+    """`value`, unchanged, when it is a real number that float64 can hold (an
+    int or a float, numpy's included; inf and NaN too, for the caller to
+    check); anything else, bools and ints beyond the float64 range included,
+    raises `error`."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # the message leaves out the value: it can run to any length
+        raise error(f"{name} must be a number that float64 can hold") from None
+    return value

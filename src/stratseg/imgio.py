@@ -57,6 +57,8 @@ class GrayImage:
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidArgument("pixels must be a non-empty 2-D array")
         if arr.dtype != np.uint8:
+            if arr.dtype.kind not in "biuf":  # strings, None, ints beyond int64, ...
+                raise InvalidArgument(f"pixels must be bool, int or float, not {arr.dtype}")
             if not np.all((arr >= 0) & (arr <= 255)):  # NaN fails too
                 raise InvalidArgument("intensities must lie in [0, 255]")
             if not np.all(arr == np.trunc(arr)):

@@ -23,7 +23,7 @@ The CSV reader and writer likewise hold one block of cells at a time.
 from __future__ import annotations
 
 import json
-import sys
+import math
 from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Optional
@@ -60,7 +60,6 @@ __all__ = [
 
 _CHUNK_ENTRIES = 2**17  # kernel entries per row chunk in project (1 MiB of float64)
 _CSV_BLOCK_CHARS = 2**18  # characters of CSV text per block in read_csv and write_csv
-_FLOAT_MAX = sys.float_info.max  # compares exactly with an int of any size
 KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
 
@@ -72,7 +71,7 @@ class LabeledDataset:
     labels: np.ndarray  # (M,) int
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
+        x = np.ascontiguousarray(_float64_samples(self.samples))
         y = _int64_labels(self.labels)
         if x.ndim != 2 or 0 in x.shape:
             raise InvalidDataset("samples must be a non-empty (M, n) array with n >= 1")
@@ -82,6 +81,17 @@ class LabeledDataset:
             raise DimensionMismatch("one label per sample required")
         object.__setattr__(self, "samples", x)
         object.__setattr__(self, "labels", y)
+
+
+def _float64_samples(samples) -> np.ndarray:
+    """Samples as a float64 array; InvalidDataset for an entry that is not a
+    number float64 can hold (a string, an int beyond its range) or rows of
+    unequal length."""
+    try:
+        return np.asarray(samples, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        msg = "samples must be rows of equal length, of numbers that float64 can hold"
+        raise InvalidDataset(msg) from None
 
 
 def _int64_labels(labels) -> np.ndarray:
@@ -114,13 +124,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InvalidArgument(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and not 0 < real_number("gamma", self.gamma) <= _FLOAT_MAX:
+        if self.gamma is not None and not 0 < real_number("gamma", self.gamma) < math.inf:
             raise InvalidArgument("gamma must be positive and finite")
-        if not -_FLOAT_MAX <= real_number("coef", self.coef) <= _FLOAT_MAX:
+        if not math.isfinite(real_number("coef", self.coef)):
             raise InvalidArgument("coef must be finite")
         object.__setattr__(self, "degree", whole_number("degree", self.degree))
-        if not 1 <= self.degree <= _FLOAT_MAX:
-            raise InvalidArgument("degree must be >= 1 and finite")
+        if not real_number("degree", self.degree) >= 1:
+            raise InvalidArgument("degree must be >= 1")
 
 
 def _cross_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -470,7 +480,7 @@ def project(model: GdaModel, u: np.ndarray) -> np.ndarray:
     The batch is projected in row chunks of about _CHUNK_ENTRIES kernel
     entries, so memory stays bounded whatever the batch size.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = _float64_samples(u)
     if u.ndim not in (1, 2):
         raise DimensionMismatch(f"samples must be a vector or (N, n) rows, got {u.ndim}-D")
     if not np.all(np.isfinite(u)):
@@ -492,12 +502,20 @@ def project(model: GdaModel, u: np.ndarray) -> np.ndarray:
 
 
 def classify_nearest_mean(model: GdaModel, u: np.ndarray):
-    """Class whose discriminant-space mean is nearest (smallest label on ties)."""
+    """Class whose discriminant-space mean is nearest (smallest label on ties).
+
+    The distances are taken in row chunks of about _CHUNK_ENTRIES
+    differences, so the (N, Z, d) difference tensor never exists whole.
+    """
     p = project(model, u)
     single = p.ndim == 1
     pts = p[None, :] if single else p
-    dists = np.linalg.norm(pts[:, None, :] - model.class_means[None, :, :], axis=2)
-    idx = np.argmin(dists, axis=1)  # first occurrence = smallest class label
+    means = model.class_means[None, :, :]
+    idx = np.empty(len(pts), dtype=np.intp)
+    step = max(1, _CHUNK_ENTRIES // max(1, means.size))
+    for lo in range(0, len(pts), step):
+        dists = np.linalg.norm(pts[lo : lo + step, None, :] - means, axis=2)
+        idx[lo : lo + step] = np.argmin(dists, axis=1)  # first occurrence = smallest class label
     out = model.classes[idx]
     return int(out[0]) if single else out
 

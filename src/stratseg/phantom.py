@@ -26,15 +26,6 @@ from .imgio import GrayImage
 __all__ = ["ShapeSpec", "PhantomSpec", "SegMetrics", "generate_phantom", "seg_metrics"]
 
 
-def _finite(value) -> bool:
-    """math.isfinite, and False for an int beyond the float64 range, which
-    it cannot convert."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class ShapeSpec:
     """One foreground shape: an axis-aligned ellipse or rectangle.
@@ -56,9 +47,9 @@ class ShapeSpec:
             raise InvalidSpec(f"unknown shape kind {self.kind!r}")
         for name in ("cx", "cy", "rx", "ry"):
             real_number(name, getattr(self, name), InvalidSpec)
-        if not (_finite(self.cx) and _finite(self.cy)):
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
             raise InvalidSpec("shape center must be finite")
-        if not (0 < self.rx and _finite(self.rx) and 0 < self.ry and _finite(self.ry)):
+        if not (0 < self.rx < math.inf and 0 < self.ry < math.inf):
             raise InvalidSpec("shape extents must be positive and finite")
         object.__setattr__(self, "intensity", whole_number("intensity", self.intensity, InvalidSpec))
         if not (0 <= self.intensity <= 255):
@@ -92,10 +83,10 @@ class PhantomSpec:
             raise InvalidSpec("background must lie in [0, 255]")
         if self.seed < 0:
             raise InvalidSpec("seed must be nonnegative")
-        if not _finite(real_number("ramp_amplitude", self.ramp_amplitude, InvalidSpec)):
+        if not math.isfinite(real_number("ramp_amplitude", self.ramp_amplitude, InvalidSpec)):
             raise InvalidSpec("ramp amplitude must be finite")
         noise = real_number("noise_sigma", self.noise_sigma, InvalidSpec)
-        if not (noise >= 0 and _finite(noise)):
+        if not (noise >= 0 and math.isfinite(noise)):
             raise InvalidSpec("noise sigma must be nonnegative and finite")
         object.__setattr__(self, "shapes", tuple(self.shapes))
 

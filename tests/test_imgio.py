@@ -273,8 +273,10 @@ def test_grayimage_rejects_an_array_not_2d_or_empty(shape):
 
 
 def test_grayimage_rejects_nan():
-    with pytest.raises(InvalidArgument):
-        GrayImage(np.array([[np.nan, 3.0]]))
+    """NaN, and pixels that are not numbers: a string array, an object array."""
+    for pixels in (np.array([[np.nan, 3.0]]), [[1, "a"]], [[1, None]]):
+        with pytest.raises(InvalidArgument):
+            GrayImage(pixels)
 
 
 def test_grayimage_rejects_fractional_intensity():

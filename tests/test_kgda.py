@@ -657,16 +657,20 @@ def test_linear_kernel_matches_classical_lda_direction():
     assert abs(r) > 0.999
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, "a", 10**400], ids=["nan", "inf", "-inf", "str", "10**400"]
+)
 def test_non_finite_features_rejected(bad):
-    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
-    x[2, 1] = bad
+    """Non-finite samples, and samples that float64 cannot hold."""
+    x = [[0.0, 1.0], [1.0, 0.0], [2.0, bad], [3.0, 1.0]]
     with pytest.raises(InvalidDataset):
         LabeledDataset(x, [0, 0, 1, 1])
+    with pytest.raises(InvalidDataset):
+        LabeledDataset([[bad], [1.0]], [0, 1])
     rng = np.random.default_rng(67)
     model = train_gda(blobs(rng, [(0, 0), (3, 3)], n_per=6), KernelSpec("rbf"))
     with pytest.raises(InvalidDataset):
-        project(model, np.array([0.5, bad]))
+        project(model, [0.5, bad])
     with pytest.raises(InvalidDataset):
         classify_nearest_mean(model, x)
 
@@ -763,7 +767,9 @@ def test_project_overflow_raises_degenerate_kernel():
 
 
 def test_project_memory_bounded():
-    """Projection works in row chunks: the (N, M) kernel block never exists."""
+    """Projection works in row chunks: the (N, M) kernel block never exists.
+    Classification too: its (N, Z, d) difference tensor, 1.8 MiB here and
+    taken twice by the norm, never exists whole either."""
     rng = np.random.default_rng(68)
     centres = rng.normal(0, 3, size=(4, 8))
     labels = np.arange(300) % 4
@@ -771,14 +777,20 @@ def test_project_memory_bounded():
         LabeledDataset(centres[labels] + rng.normal(size=(300, 8)), labels), KernelSpec("rbf")
     )
     batch = rng.normal(0, 3, size=(20000, 8))
-    tracemalloc.start()
-    try:
-        out = project(model, batch)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    outs, peaks = [], []
+    for run in (project, classify_nearest_mean):
+        tracemalloc.start()
+        try:
+            outs.append(run(model, batch))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    out, pred = outs
     assert out.shape == (20000, 3)
-    assert peak < 8 * 2**20
+    assert peaks[0] < 8 * 2**20
+    assert peaks[1] < peaks[0] + 2**20
+    whole = np.linalg.norm(out[:, None, :] - model.class_means[None, :, :], axis=2)
+    assert np.array_equal(pred, model.classes[np.argmin(whole, axis=1)])
 
 
 @pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial"])

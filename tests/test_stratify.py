@@ -346,7 +346,7 @@ def test_policy_validation():
         for value in (2.5, True, "3", float("inf")):
             with pytest.raises(InvalidArgument, match=f"{field} must be a whole number"):
                 SplitPolicy(**{field: value})
-    for value in ("1", True, None):
+    for value in ("1", True, None, 10**400):
         with pytest.raises(InvalidArgument, match="var_threshold must be a number"):
             SplitPolicy(var_threshold=value)
     assert type(SplitPolicy(var_threshold=400).var_threshold) is int
