@@ -46,10 +46,6 @@ def _write(path: str, data) -> None:
         raise IoError(str(exc)) from None
 
 
-def _rect_dict(r):
-    return None if r is None else {"x0": r.x0, "y0": r.y0, "w": r.w, "h": r.h}
-
-
 def cmd_phantom(args) -> int:
     spec = phantom.PhantomSpec.from_json(_read_text(args.spec))
     img, mask = phantom.generate_phantom(spec)
@@ -81,10 +77,7 @@ def cmd_segment(args) -> int:
         "weights": asdict(weights),
         "simplex": asdict(params),
         "tree": stratify.node_to_dict(tree),
-        "leaves": [
-            {**vars(e), "rect": _rect_dict(e.rect), "source_rect": _rect_dict(e.source_rect)}
-            for e in report.entries
-        ],
+        "leaves": [asdict(e) for e in report.entries],
     }
     _write(args.report_out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"{len(report.entries)} leaves segmented in {elapsed:.3f}s")

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package, and its number checks.
+"""Exception hierarchy shared across the package, and the checks of the
+numbers a caller passes in, one (`real_number`, `whole_number`) or an array
+of them (`real_array`, `whole_array`), raising the error class it names.
 
 Every error the library raises derives from StratsegError; the class name
 doubles as the machine-parsable category printed by the CLI.
@@ -6,13 +8,15 @@ doubles as the machine-parsable category printed by the CLI.
 
 import numbers
 
+import numpy as np
+
 
 class StratsegError(Exception):
     """Base class for all stratseg errors."""
 
 
 class InvalidArgument(StratsegError, ValueError):
-    """A parameter (policy, weights, simplex, kernel, d, pixels) is out of range."""
+    """A parameter (policy, weights, simplex, kernel, d, pixels, a histogram) is out of range."""
 
 
 # --- image I/O ---
@@ -98,3 +102,29 @@ def real_number(name: str, value, error=InvalidArgument):
     except OverflowError:  # the message leaves out the value: it can run to any length
         raise error(f"{name} must be a number that float64 can hold") from None
     return value
+
+
+def real_array(name: str, value, error=InvalidArgument) -> np.ndarray:
+    """`value` as an array of bools and real numbers (numpy's too) in its own
+    dtype, ints beyond int64 as float64; strings, bytes, None, ints beyond
+    float64 and rows of unequal length raise `error`. inf and NaN pass."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O" and all(isinstance(v, (numbers.Real, np.bool_)) for v in arr.flat):
+            arr = arr.astype(np.float64)
+    except (ValueError, OverflowError):
+        raise error(f"{name} must be rows of equal length, of numbers float64 can hold") from None
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{name} must hold bools, ints or floats, not {arr.dtype}")
+    return arr
+
+
+def whole_array(name: str, value, error=InvalidArgument) -> np.ndarray:
+    """`real_array(name, value, error)` whose entries are whole numbers inside
+    int64 (2.0 is; NaN and 2**63 are not), for the caller to cast."""
+    arr = real_array(name, value, error)
+    if arr.size and arr.dtype.kind in "uf":  # trunc's temporary goes before min and max
+        whole = arr.dtype.kind == "u" or (np.all(arr == np.trunc(arr)) and arr.min() >= -(2**63))
+        if not (whole and arr.max() < 2**63):
+            raise error(f"{name} must be whole numbers that fit in int64")
+    return arr

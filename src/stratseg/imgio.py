@@ -25,6 +25,7 @@ from .errors import (
     MalformedHeader,
     TruncatedData,
     UnsupportedMaxval,
+    whole_array,
 )
 
 __all__ = ["GrayImage", "Rect", "load_pgm", "save_pgm"]
@@ -53,18 +54,12 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels)
+        arr = whole_array("pixels", self.pixels)
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidArgument("pixels must be a non-empty 2-D array")
-        if arr.dtype != np.uint8:
-            if arr.dtype.kind not in "biuf":  # strings, None, ints beyond int64, ...
-                raise InvalidArgument(f"pixels must be bool, int or float, not {arr.dtype}")
-            if not np.all((arr >= 0) & (arr <= 255)):  # NaN fails too
-                raise InvalidArgument("intensities must lie in [0, 255]")
-            if not np.all(arr == np.trunc(arr)):
-                raise InvalidArgument("intensities must be whole numbers")
-            arr = arr.astype(np.uint8)
-        arr = arr.copy()
+        if arr.dtype != np.uint8 and not 0 <= arr.min() <= arr.max() <= 255:
+            raise InvalidArgument("intensities must lie in [0, 255]")
+        arr = arr.astype(np.uint8, order="C")  # a copy, of uint8 pixels too
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -110,7 +105,7 @@ class Rect:
 
     def __post_init__(self):
         if self.w < 1 or self.h < 1 or self.x0 < 0 or self.y0 < 0:
-            raise ValueError(f"invalid rect {self!r}")
+            raise InvalidArgument(f"invalid rect {self!r}")
 
 
 _TOKEN = re.compile(rb"#[^\n]*|([^ \t\r\n#]+)")

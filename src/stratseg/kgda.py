@@ -37,7 +37,9 @@ from .errors import (
     InvalidArgument,
     InvalidDataset,
     InvalidModel,
+    real_array,
     real_number,
+    whole_array,
     whole_number,
 )
 
@@ -71,8 +73,8 @@ class LabeledDataset:
     labels: np.ndarray  # (M,) int
 
     def __post_init__(self):
-        x = np.ascontiguousarray(_float64_samples(self.samples))
-        y = _int64_labels(self.labels)
+        x = np.ascontiguousarray(real_array("samples", self.samples, InvalidDataset), np.float64)
+        y = whole_array("labels", self.labels, InvalidDataset).astype(np.int64)
         if x.ndim != 2 or 0 in x.shape:
             raise InvalidDataset("samples must be a non-empty (M, n) array with n >= 1")
         if not np.all(np.isfinite(x)):
@@ -81,34 +83,6 @@ class LabeledDataset:
             raise DimensionMismatch("one label per sample required")
         object.__setattr__(self, "samples", x)
         object.__setattr__(self, "labels", y)
-
-
-def _float64_samples(samples) -> np.ndarray:
-    """Samples as a float64 array; InvalidDataset for an entry that is not a
-    number float64 can hold (a string, an int beyond its range) or rows of
-    unequal length."""
-    try:
-        return np.asarray(samples, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        msg = "samples must be rows of equal length, of numbers that float64 can hold"
-        raise InvalidDataset(msg) from None
-
-
-def _int64_labels(labels) -> np.ndarray:
-    """Labels as int64; InvalidDataset unless each is a whole number inside
-    int64. A whole float such as 2.0 becomes 2; a fraction or a uint64
-    beyond int64 is an error, not a truncated or wrapped label."""
-    raw = np.asarray(labels)
-    if raw.dtype.kind == "f":
-        whole = np.isfinite(raw) & (raw == np.trunc(raw))
-        if not np.all(whole & (raw >= -(2.0**63)) & (raw < 2.0**63)):
-            raise InvalidDataset("labels must be whole numbers that fit in int64")
-    elif raw.dtype.kind == "u" and raw.size and raw.max() > np.iinfo(np.int64).max:
-        raise InvalidDataset("labels must fit in int64")
-    try:
-        return raw.astype(np.int64)
-    except OverflowError:
-        raise InvalidDataset("labels must fit in int64") from None
 
 
 @dataclass(frozen=True)
@@ -200,9 +174,9 @@ def scatter_matrices(k: np.ndarray, labels) -> ScatterMatrices:
     the mean of all of them, and U_w = dev dev^T / M with dev the kernel
     columns minus their class means.
     """
-    k = np.asarray(k, dtype=np.float64)
+    k = np.asarray(real_array("k", k), dtype=np.float64)
     m = k.shape[0]
-    classes, inverse = np.unique(labels, return_inverse=True)
+    classes, inverse = np.unique(whole_array("labels", labels), return_inverse=True)
     deltas = np.stack([k[:, inverse == i].mean(axis=1) for i in range(len(classes))])
     delta0 = k.mean(axis=1)
     counts = np.bincount(inverse)
@@ -402,7 +376,7 @@ def train_gda(
     z = len(classes)
     if z < 2:
         raise InvalidDataset(f"need at least 2 classes, got {z}")
-    d_req = z - 1 if d is None else int(d)
+    d_req = z - 1 if d is None else whole_number("d", d)
     if d_req < 1:
         raise InvalidArgument("d must be >= 1")
 
@@ -480,7 +454,7 @@ def project(model: GdaModel, u: np.ndarray) -> np.ndarray:
     The batch is projected in row chunks of about _CHUNK_ENTRIES kernel
     entries, so memory stays bounded whatever the batch size.
     """
-    u = _float64_samples(u)
+    u = np.asarray(real_array("samples", u, InvalidDataset), np.float64)
     if u.ndim not in (1, 2):
         raise DimensionMismatch(f"samples must be a vector or (N, n) rows, got {u.ndim}-D")
     if not np.all(np.isfinite(u)):
@@ -536,13 +510,16 @@ def _labels(cells: list) -> np.ndarray:
         raise ValueError(f"label {max(labels, key=abs)} does not fit in int64") from None
 
 
-def _parse_rows(lines: list, n_features: Optional[int] = None) -> tuple:
+def _parse_rows(lines: list, n_features: Optional[int] = None, first: int = 0,
+                row0: Optional[tuple] = None) -> tuple:
     """Row loop over stripped cells: what read_csv returns, or the error
-    naming the first bad row."""
+    naming the first bad row. `lines` are the file's rows from row `first`
+    on; `row0` is the layout (feature count, whether labelled) of row 0 of
+    the file when row 0 is not among them."""
     if not lines and n_features is None:
         raise CsvParse("no data rows")
     samples, labels = [], []
-    for i, line in enumerate(lines):
+    for i, line in enumerate(lines, first):
         cells = [c.strip() for c in line.split(",")]
         labelled = n_features is None or len(cells) == n_features + 1
         if n_features is None and len(cells) < 2:
@@ -551,7 +528,7 @@ def _parse_rows(lines: list, n_features: Optional[int] = None) -> tuple:
             raise DimensionMismatch(
                 f"row {i}: {len(cells)} columns, model expects {n_features} features"
             )
-        if i and labelled != bool(labels):
+        if row0 is not None and labelled != row0[1]:
             raise DimensionMismatch(
                 f"row {i}: {'a' if labelled else 'no'} label column, unlike row 0"
             )
@@ -561,9 +538,10 @@ def _parse_rows(lines: list, n_features: Optional[int] = None) -> tuple:
                 labels.append(_labels(cells[-1:])[0])
         except ValueError as exc:
             raise CsvParse(f"row {i}: {exc}") from None
-        if len(samples[-1]) != len(samples[0]):
+        row0 = row0 or (len(samples[0]), labelled)
+        if len(samples[-1]) != row0[0]:
             raise CsvParse(f"row {i}: inconsistent column count")
-    n = len(samples[0]) if n_features is None else n_features
+    n = n_features if row0 is None else row0[0]
     x = np.array(samples, dtype=np.float64).reshape(len(samples), n)
     return x, np.array(labels, dtype=np.int64) if labels else None
 
@@ -617,14 +595,15 @@ def read_csv(text: str, header: bool = False, n_features: Optional[int] = None) 
 
     The text is parsed one block at a time, so only the block's cells are
     held; where a block does not parse, or its layout differs from the first
-    block's, the row loop over the whole text names the first bad row."""
-    layout = lambda part: (part[0].shape[1], part[1] is None)  # features, and no label column
-    parts = []
+    block's, the row loop over that block names its first bad row."""
+    layout = lambda part: (part[0].shape[1], part[1] is not None)  # features, and a label column
+    parts, first = [], 0
     for lines in _csv_blocks(text, header):
         part = _parse_joined(lines, n_features)
         if part is None or parts and layout(part) != layout(parts[0]):
-            return _parse_rows(_csv_lines(text, header), n_features)
+            part = _parse_rows(lines, n_features, first, layout(parts[0]) if parts else None)
         parts.append(part)
+        first += len(lines)
     if not parts:
         return _parse_rows([], n_features)
     samples, labels = zip(*parts)

@@ -45,6 +45,7 @@ from .errors import (
     EmptyHistogram,
     InvalidArgument,
     ReportTreeMismatch,
+    real_array,
     real_number,
     whole_number,
 )
@@ -84,6 +85,9 @@ class ObjectiveWeights:
         s = real_number("w_var", self.w_var) + real_number("w_ent", self.w_ent)
         if not (self.w_var >= 0 and self.w_ent >= 0 and 0 < s < math.inf):
             raise InvalidArgument("weights must be nonnegative with finite positive sum")
+        if not isinstance(self.adaptive, (bool, np.bool_)):
+            raise InvalidArgument(f"adaptive must be a bool, got {self.adaptive!r}")
+        object.__setattr__(self, "adaptive", bool(self.adaptive))
 
     def effective(self, complexity) -> tuple:
         """(w_var, w_ent) actually applied; always nonnegative, summing to 1.
@@ -204,15 +208,26 @@ class _Tables:
         return np.where((k >= 0) & (k <= 255), self.evaluate(rows, k, w_var, w_ent), -np.inf)
 
 
+def _histogram(hist) -> np.ndarray:
+    """`hist` as one histogram, 256 finite, nonnegative counts; InvalidArgument
+    otherwise. All zeros is left to `_Tables` (EmptyHistogram)."""
+    h = real_array("hist", hist)
+    if h.shape != (256,):
+        raise InvalidArgument(f"hist must be 256 counts, got shape {h.shape}")
+    if not np.all((h >= 0) & (h < math.inf)):  # NaN fails too
+        raise InvalidArgument("hist counts must be finite and nonnegative")
+    return h
+
+
 def objective(hist, t, weights: ObjectiveWeights = ObjectiveWeights(), complexity: float = 1.0):
-    """Weighted threshold objective J(t); accepts scalar or array t."""
-    tab = _Tables(hist)
+    """Weighted threshold objective J(t); accepts scalar or array t, and
+    gives NaN where t is NaN."""
+    tab = _Tables(_histogram(hist))
     wv, we = weights.effective(complexity)
-    scalar = np.ndim(t) == 0
-    if scalar and t != t:
-        return math.nan
-    j = tab.evaluate(0, t, wv, we)
-    return j.item() if scalar else j
+    t = np.asarray(real_array("t", t), dtype=np.float64)
+    nan = np.isnan(t)
+    j = np.where(nan, math.nan, tab.evaluate(0, np.where(nan, 0.0, t), wv, we))
+    return j.item() if j.ndim == 0 else j
 
 
 def _simplex(tab: _Tables, w_var, w_ent, params: SimplexParams):
@@ -315,14 +330,14 @@ def optimize_leaf(
     The returned threshold is always an integer local maximum of J over its
     integer neighbors, and objective_value is J at that knot.
     """
-    return LeafThreshold(*_optimize_rows([hist], [complexity], weights, params)[0])
+    return LeafThreshold(*_optimize_rows([_histogram(hist)], [complexity], weights, params)[0])
 
 
 def oracle_best_threshold(
     hist, complexity: float = 1.0, weights: ObjectiveWeights = ObjectiveWeights()
 ):
     """Exhaustive argmax of J over all 256 integer thresholds (smallest-t tie)."""
-    tab = _Tables(hist)
+    tab = _Tables(_histogram(hist))
     wv, we = weights.effective(complexity)
     j = tab.at_knots(0, np.arange(256), wv, we)
     t = int(np.argmax(j))

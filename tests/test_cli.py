@@ -113,6 +113,8 @@ def test_segment_command_report_and_mask(tmp_path):
             "rect", "threshold", "continuous_optimum", "objective_value",
             "w_var", "w_ent", "iterations", "converged",
         }
+        for rect in (leaf["rect"], leaf["source_rect"] or leaf["rect"]):
+            assert rect.keys() == {"x0", "y0", "w", "h"}
     mask = load_pgm(mask_out.read_bytes())
     assert np.all(mask.pixels[:16, :] == 0)  # 0 and 85 below the threshold
     assert np.all(mask.pixels[16:, :] == 255)

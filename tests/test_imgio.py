@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratseg import GrayImage, imgio, load_pgm, save_pgm
+from stratseg import GrayImage, Rect, imgio, load_pgm, save_pgm
 from stratseg.errors import (
     InvalidArgument,
     MalformedHeader,
@@ -273,16 +274,51 @@ def test_grayimage_rejects_an_array_not_2d_or_empty(shape):
 
 
 def test_grayimage_rejects_nan():
-    """NaN, and pixels that are not numbers: a string array, an object array."""
-    for pixels in (np.array([[np.nan, 3.0]]), [[1, "a"]], [[1, None]]):
+    """NaN, and pixels that are not numbers: a string array, numeric or not,
+    bytes, an object array, rows of unequal length."""
+    for pixels in (np.array([[np.nan, 3.0]]), [[1, "a"]], [["1", "2"]], [[b"1"]], [[1, None]],
+                   [[1, 2], [3]]):
         with pytest.raises(InvalidArgument):
             GrayImage(pixels)
+
+
+def test_grayimage_takes_bools_and_whole_numbers_of_any_type():
+    want = [[0, 1], [255, 7]]
+    for pixels in (np.array(want, dtype=np.uint16), np.array(want, dtype=np.int64),
+                   np.array(want, dtype=np.float32), np.array(want, dtype=object), want):
+        img = GrayImage(pixels)
+        assert img.pixels.dtype == np.uint8 and img.pixels.tolist() == want
+    assert GrayImage(np.array([[True, False]])).pixels.tolist() == [[1, 0]]
+    for pixels in ([[256]], [[-1]], [[2**70]], [[1e300]]):
+        with pytest.raises(InvalidArgument):
+            GrayImage(pixels)
+
+
+@pytest.mark.parametrize("dtype,per_pixel", [(np.float64, 9), (np.int64, 1), (np.uint16, 1)])
+def test_grayimage_conversion_memory(dtype, per_pixel):
+    """The traced peak of converting pixels of another dtype is the uint8
+    result or, for floats, a float64 copy and a bool mask (the whole-number
+    test), which are freed first: `per_pixel` bytes a pixel."""
+    pixels = np.random.default_rng(15).integers(0, 256, size=(512, 512)).astype(dtype)
+    tracemalloc.start()
+    try:
+        GrayImage(pixels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_pixel * pixels.size + 2**16, peak
 
 
 def test_grayimage_rejects_fractional_intensity():
     with pytest.raises(InvalidArgument):
         GrayImage(np.array([[1.7, 3.0]]))
     assert GrayImage(np.array([[1.0, 3.0]])).pixels.tolist() == [[1, 3]]
+
+
+def test_rect_rejects_a_negative_origin_or_an_empty_extent():
+    for args in ((-1, 0, 1, 1), (0, -1, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0)):
+        with pytest.raises(InvalidArgument, match="invalid rect"):
+            Rect(*args)
 
 
 def test_load_p5_from_bytes_uses_the_raster_in_place():

@@ -416,6 +416,14 @@ def test_train_single_class_rejected():
         train_gda(data, KernelSpec("linear"))
 
 
+def test_train_d_must_be_a_whole_number_at_least_1():
+    data = blobs(np.random.default_rng(55), [(0, 0), (4, 0), (0, 4)], n_per=4)
+    for d in (0, -1, 1.5, True, "1", [2]):
+        with pytest.raises(InvalidArgument, match="d must"):
+            train_gda(data, KernelSpec("linear"), d=d)
+    assert train_gda(data, KernelSpec("linear"), d=2.0).n_discriminants == 2
+
+
 def test_train_zero_kernel_rejected():
     data = LabeledDataset(np.zeros((6, 2)), [0, 0, 0, 1, 1, 1])
     with pytest.raises(DegenerateKernel):
@@ -658,10 +666,12 @@ def test_linear_kernel_matches_classical_lda_direction():
 
 
 @pytest.mark.parametrize(
-    "bad", [np.nan, np.inf, -np.inf, "a", 10**400], ids=["nan", "inf", "-inf", "str", "10**400"]
+    "bad", [np.nan, np.inf, -np.inf, "a", "1.5", b"1.5", None, 10**400],
+    ids=["nan", "inf", "-inf", "str", "numeric str", "bytes", "None", "10**400"],
 )
 def test_non_finite_features_rejected(bad):
-    """Non-finite samples, and samples that float64 cannot hold."""
+    """Non-finite samples, and samples that are not numbers float64 can hold:
+    a string, numeric or not, bytes, None, an int beyond its range."""
     x = [[0.0, 1.0], [1.0, 0.0], [2.0, bad], [3.0, 1.0]]
     with pytest.raises(InvalidDataset):
         LabeledDataset(x, [0, 0, 1, 1])
@@ -1076,7 +1086,9 @@ def test_csv_memory_grows_with_the_output_alone():
     """From N to 4N rows, the peak traced memory of read_csv and of write_csv
     grows by at most twice the growth of what they return (at the end the
     blocks' results and their concatenation or join are both held) plus
-    256 KiB, not by the cells of the whole text."""
+    256 KiB, not by the cells of the whole text. So does that of a read_csv
+    that fails at the last row, measured against what the good text
+    returns: only the block that fails is parsed again row by row."""
     rng = np.random.default_rng(71)
     x, y = rng.normal(size=(12000, 8)), rng.integers(0, 4, 12000)
 
@@ -1089,12 +1101,20 @@ def test_csv_memory_grows_with_the_output_alone():
             tracemalloc.stop()
         return peak, out
 
-    def peaks_and_outputs(rows):  # one row for write_csv, one for read_csv
+    def failing_read(text, rows):
+        with pytest.raises(CsvParse, match=rf"^row {rows - 1}: could not convert"):
+            read_csv(text)
+
+    def peaks_and_outputs(rows):  # one row each for write_csv, read_csv, a failing read_csv
         write_peak, text = traced(lambda: write_csv(x[:rows], y[:rows]))
         read_peak, (samples, labels) = traced(lambda: read_csv(text))
         assert np.array_equal(samples, x[:rows]) and np.array_equal(labels, y[:rows])
-        return np.array([[write_peak, sys.getsizeof(text)],
-                         [read_peak, samples.nbytes + labels.nbytes]])
+        head, _, last = text.rstrip("\n").rpartition("\n")
+        bad = f"{head}\nx{last[last.index(','):]}\n"  # the last row's first cell made x
+        bad_peak, _ = traced(lambda: failing_read(bad, rows))
+        read_bytes = samples.nbytes + labels.nbytes
+        return np.array([[write_peak, sys.getsizeof(text)], [read_peak, read_bytes],
+                         [bad_peak, read_bytes]])
 
     grew = peaks_and_outputs(12000) - peaks_and_outputs(3000)
     assert np.all(grew[:, 0] <= 2 * grew[:, 1] + 2**18), grew
@@ -1131,6 +1151,28 @@ def test_label_beyond_int64_is_an_error_not_an_overflow():
         load_dataset_csv("1.0,2.0,1\n1.0,2.0,99999999999999999999\n")
     edges = load_dataset_csv(f"1.0,{2**63 - 1}\n2.0,{-2**63}\n")
     assert edges.labels.tolist() == [2**63 - 1, -2**63]
+
+
+def test_samples_of_bools_ints_and_ints_beyond_int64_are_numbers():
+    """Python ints beyond int64, which numpy keeps as objects, are samples
+    float64 can hold; so are bools and rows mixing them."""
+    data = LabeledDataset([[2**70, True], [1, 0.5]], [0, 1])
+    assert data.samples.dtype == np.float64 and data.samples.tolist() == [[2.0**70, 1.0], [1.0, 0.5]]
+    x = np.arange(6.0).reshape(3, 2)
+    assert LabeledDataset(x, [0, 1, 1]).samples is x  # float64 rows are not copied
+    with pytest.raises(InvalidDataset, match="rows of equal length"):
+        LabeledDataset([[1.0, 2.0], [3.0]], [0, 1])
+
+
+@pytest.mark.parametrize("labels", [["a", "b"], [None, 1], ["0", "1"], [b"0", b"1"], [1j, 0]],
+                         ids=["str", "None", "numeric str", "bytes", "complex"])
+def test_labels_that_are_not_numbers_are_an_error(labels):
+    with pytest.raises(InvalidDataset, match="labels must"):
+        LabeledDataset(np.zeros((2, 1)), labels)
+    with pytest.raises(InvalidArgument, match="labels must"):
+        scatter_matrices(np.eye(2), labels)
+    with pytest.raises(InvalidArgument, match="k must"):
+        scatter_matrices(np.eye(2).astype(str), [0, 1])
 
 
 def test_fractional_or_wrapped_label_is_an_error():

@@ -358,6 +358,12 @@ def test_scalar_and_array_objective_share_one_evaluation():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isnan(objective(hist, math.nan, complexity=complexity))
+        # a NaN entry of an array t is NaN too, and the other entries keep their bits
+        ts = np.array([np.nan, 3.0, np.nan, 140.25])
+        got = objective(hist, ts, complexity=complexity)
+        assert np.isnan(got[[0, 2]]).all()
+        assert bits(got[1]) == bits(objective(hist, 3.0, complexity=complexity))
+        assert bits(got[3]) == bits(objective(hist, 140.25, complexity=complexity))
 
 
 def test_effective_weights_normalized_and_adaptive():
@@ -632,6 +638,44 @@ def test_threshold_tree_empty_source_histogram_raises():
         optimize_leaf(np.zeros(256, dtype=np.int64), 0.5)
 
 
+ONE_HISTOGRAM_ENTRY_POINTS = [
+    pytest.param(lambda h: objective(h, 100.0), id="objective"),
+    pytest.param(lambda h: optimize_leaf(h, 0.5), id="optimize_leaf"),
+    pytest.param(oracle_best_threshold, id="oracle_best_threshold"),
+]
+ONES = np.ones(256)
+NOT_A_HISTOGRAM = {
+    "two rows": np.ones((2, 256)),
+    "255 counts": np.ones(255),
+    "257 counts": np.ones(257),
+    "a negative count": np.r_[-1.0, ONES[1:]],
+    "a NaN count": np.r_[np.nan, ONES[1:]],
+    "an infinite count": np.r_[np.inf, ONES[1:]],
+    "strings": ["1"] * 256,
+    "None": [None] + [1] * 255,
+}
+
+
+@pytest.mark.parametrize("call", ONE_HISTOGRAM_ENTRY_POINTS)
+@pytest.mark.parametrize("hist", NOT_A_HISTOGRAM.values(), ids=NOT_A_HISTOGRAM.keys())
+def test_one_histogram_entry_points_take_256_finite_nonnegative_counts(call, hist):
+    with pytest.raises(InvalidArgument, match="^hist"):
+        call(hist)
+
+
+@pytest.mark.parametrize("call", ONE_HISTOGRAM_ENTRY_POINTS)
+def test_one_histogram_entry_points_take_counts_of_any_number_type(call):
+    """int, uint, float and bool counts, and a list of Python ints, give one
+    result; all zeros is still EmptyHistogram."""
+    hist = bimodal_hist(np.random.default_rng(45))
+    want = call(hist)
+    for same in (hist.astype(np.uint16), hist.astype(np.float64), hist.tolist()):
+        assert call(same) == want
+    call(np.ones(256, dtype=bool))
+    with pytest.raises(EmptyHistogram):
+        call(np.zeros(256, dtype=np.int64))
+
+
 def test_float_histograms_are_not_written():
     hist = bimodal_hist(np.random.default_rng(44)).astype(np.float64)
     stack = np.stack([hist, hist[::-1]])
@@ -677,6 +721,10 @@ def test_objective_weights_validation():
         for value in ("1", True, None, 10**400):
             with pytest.raises(InvalidArgument, match=f"{field} must be a number"):
                 ObjectiveWeights(**{field: value})
+    for value in ("no", 0, 1, None):
+        with pytest.raises(InvalidArgument, match="adaptive must be a bool"):
+            ObjectiveWeights(adaptive=value)
+    assert ObjectiveWeights(adaptive=np.False_).adaptive is False  # as JSON writes it
 
 
 def test_segment_mask_is_read_only():
