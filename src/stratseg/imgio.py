@@ -182,29 +182,27 @@ def save_pgm(img: GrayImage) -> bytes:
     return header + img.pixels.data  # pixels are C-contiguous: one copy
 
 
-def bin_rows(pixels: np.ndarray, key=None, nbins: int = 256, buf=None) -> np.ndarray:
-    """int64 counts, `nbins` long, of a 2-D uint8 array's values, plus `key`
-    if given (an intp per-column bin offset that broadcasts along a row).
+def bin_rows(pixels: np.ndarray, groups=None, buf=None) -> np.ndarray:
+    """int64 counts of the levels of a 2-D uint8 array: (256,) over all of it,
+    or with `groups`, a group index per column, (k, 256) over the columns of
+    each of k = max(groups) + 1 groups. A pixel's bin is its level plus 256
+    times its group; this is the one place that knows the layout.
 
-    `np.bincount` first casts its input to intp, eight bytes per pixel, so the
-    rows are binned in bands of about `_BAND_PIXELS` pixels: the cast stays a
-    few MiB and cache-sized whatever the array's size. With `key`, a 1-D intp
-    `buf` of at least one row sets the band height to the rows it holds, and
-    each keyed band is written into it instead of a new array."""
-    step = max(1, (_BAND_PIXELS if buf is None else len(buf)) // pixels.shape[1])
-    counts = None
-    for y in range(0, pixels.shape[0], step):
+    `np.bincount` casts its input to intp, so the rows are keyed into an intp
+    buffer a band at a time: the caller's `buf` of at least one row, whose
+    length sets the band height, or one of about `_BAND_PIXELS` pixels made
+    here. It stays a few MiB and cache-sized whatever the array's size."""
+    height, width = pixels.shape
+    key, k = (0, 1) if groups is None else (np.left_shift(groups, 8), int(groups.max()) + 1)
+    if buf is None:
+        buf = np.empty(min(height, max(1, _BAND_PIXELS // width)) * width, np.intp)
+    step, counts = len(buf) // width, None
+    for y in range(0, height, step):
         band = pixels[y : y + step]
-        if buf is not None:
-            band = np.add(band, key, out=buf[: band.size].reshape(band.shape))
-        elif key is not None:
-            band = band + key
-        binned = np.bincount(band.ravel(), minlength=nbins)
-        if counts is None:
-            counts = binned.astype(np.int64, copy=False)
-        else:
-            counts += binned
-    return counts
+        keyed = np.add(band, key, out=buf[: band.size].reshape(band.shape))
+        binned = np.bincount(keyed.ravel(), minlength=k << 8).astype(np.int64, copy=False)
+        counts = binned if counts is None else np.add(counts, binned, out=counts)
+    return counts if groups is None else counts.reshape(k, 256)
 
 
 def _in_halves(lower, upper, size: int) -> None:

@@ -496,11 +496,6 @@ def classify_nearest_mean(model: GdaModel, u: np.ndarray):
 
 # --- file formats -----------------------------------------------------------
 
-def _csv_lines(text: str, header: bool) -> list:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    return lines[1:] if header else lines
-
-
 def _labels(cells: list) -> np.ndarray:
     """int64 labels; ValueError for a cell that is not an integer or not in int64."""
     labels = list(map(int, cells))
@@ -571,13 +566,13 @@ def _parse_joined(lines: list, n_features: Optional[int] = None) -> Optional[tup
 
 
 def _csv_blocks(text: str, header: bool):
-    """_csv_lines(text, header) as lists of lines from blocks of the text,
-    each cut after a newline about every _CSV_BLOCK_CHARS characters; blocks
-    with no data line are skipped."""
+    """The non-blank lines of `text`, less the first if `header`, as lists of
+    lines from blocks of the text, each cut after a newline about every
+    _CSV_BLOCK_CHARS characters; blocks with no data line are skipped."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CSV_BLOCK_CHARS - 1) + 1 or len(text)
-        lines = _csv_lines(text[start:end], header=False)
+        lines = [ln for ln in text[start:end].splitlines() if ln.strip()]
         start = end
         if header and lines:
             del lines[0]

@@ -159,7 +159,8 @@ def _children(rects: np.ndarray) -> np.ndarray:
 
 def _bin_rects(pixels: np.ndarray, rects: np.ndarray, out: np.ndarray):
     """Write the histograms of k rects into (k, 256) `out`: b rects of one shape
-    are the columns of one (h * w, b) array, binned in one keyed pass."""
+    are the columns of one (h * w, b) array, binned in one pass, each column
+    its own group."""
     flat, width = pixels.reshape(-1), pixels.shape[1]
     x0, y0, w, h = rects.T
     for sw, sh in set(zip(w.tolist(), h.tolist())):
@@ -168,8 +169,7 @@ def _bin_rects(pixels: np.ndarray, rects: np.ndarray, out: np.ndarray):
         step = max(1, min(_BLOCK_NODES, _BAND_PIXELS // (sw * sh)))
         for lo in range(0, len(same), step):
             sel = same[lo : lo + step]
-            block = flat[offsets + (y0[sel] * width + x0[sel])]
-            out[sel] = bin_rows(block, np.arange(len(sel)) << 8, len(sel) * 256).reshape(-1, 256)
+            out[sel] = bin_rows(flat[offsets + (y0[sel] * width + x0[sel])], np.arange(len(sel)))
 
 
 class _TileGrid:
@@ -185,9 +185,9 @@ class _TileGrid:
         self.xs = xs = np.unique(np.append(tiles[:, 0], img.width))
         self.ys = ys = np.unique(np.append(tiles[:, 1], img.height))
         ntx = len(xs) - 1
-        # a pixel's bin is its level plus 256 times its tile column; each
-        # tile row is binned on its own, so no band straddles two
-        col_key = np.repeat(np.arange(ntx) << 8, np.diff(xs))
+        # each tile row is binned on its own, its pixels grouped by tile
+        # column, so no band straddles two
+        tile_col = np.repeat(np.arange(ntx), np.diff(xs))
         # sat[j, i] counts the tiles above row cut j and left of column cut i
         self.sat = sat = np.zeros((len(ys), ntx + 1, 256), np.int64)
         # the tile rows in two halves, each keying its bands into its own
@@ -200,7 +200,7 @@ class _TileGrid:
         def bin_half(k):
             for j in range(cut[k], cut[k + 1]):
                 band = img.pixels[ys[j] : ys[j + 1]]
-                sat[j + 1, 1:] = bin_rows(band, col_key, ntx * 256, bufs[k]).reshape(ntx, 256)
+                sat[j + 1, 1:] = bin_rows(band, tile_col, bufs[k])
 
         _in_halves(lambda: bin_half(0), lambda: bin_half(1), img.pixels.size)
         np.cumsum(sat, axis=0, out=sat)

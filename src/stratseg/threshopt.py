@@ -23,9 +23,9 @@ multiplication. Logs are array `np.log`, which gives the bits of scalar
 `np.log` (`math.log` differs on a few inputs); a test pins it. The
 refinement reads J at the knots of a +-3 window around each row's rounded
 optimum, and then one knot at a time while a row still climbs; at a knot the
-interpolation adds 0 * diff (`_Tables.at_knots`). The
-exhaustive `oracle_best_threshold`, which backs every optimizer claim,
-reads all 256 knots the same way.
+interpolation adds 0 * diff (`_Tables.at_knots`). The exhaustive
+`oracle_best_threshold`, which backs every optimizer claim, is `objective`
+at all 256 knots.
 
 `segment` stitches the mask in full-width row bands, cut at every leaf's
 top and bottom edge: each band is compared against one per-row vector of
@@ -208,9 +208,12 @@ class _Tables:
         return np.where((k >= 0) & (k <= 255), self.evaluate(rows, k, w_var, w_ent), -np.inf)
 
 
-def _histogram(hist) -> np.ndarray:
-    """`hist` as one histogram, 256 finite, nonnegative counts; InvalidArgument
-    otherwise. All zeros is left to `_Tables` (EmptyHistogram)."""
+def _histogram(hist, complexity) -> np.ndarray:
+    """`hist` as one histogram, 256 finite, nonnegative counts, given with a
+    `complexity` in [0, 1]; InvalidArgument otherwise. All zeros is left to
+    `_Tables` (EmptyHistogram)."""
+    if not 0 <= real_number("complexity", complexity) <= 1:  # NaN fails too
+        raise InvalidArgument(f"complexity must lie in [0, 1], got {float(complexity)}")
     h = real_array("hist", hist)
     if h.shape != (256,):
         raise InvalidArgument(f"hist must be 256 counts, got shape {h.shape}")
@@ -222,7 +225,7 @@ def _histogram(hist) -> np.ndarray:
 def objective(hist, t, weights: ObjectiveWeights = ObjectiveWeights(), complexity: float = 1.0):
     """Weighted threshold objective J(t); accepts scalar or array t, and
     gives NaN where t is NaN."""
-    tab = _Tables(_histogram(hist))
+    tab = _Tables(_histogram(hist, complexity))
     wv, we = weights.effective(complexity)
     t = np.asarray(real_array("t", t), dtype=np.float64)
     nan = np.isnan(t)
@@ -330,16 +333,15 @@ def optimize_leaf(
     The returned threshold is always an integer local maximum of J over its
     integer neighbors, and objective_value is J at that knot.
     """
-    return LeafThreshold(*_optimize_rows([_histogram(hist)], [complexity], weights, params)[0])
+    h = _histogram(hist, complexity)
+    return LeafThreshold(*_optimize_rows([h], [complexity], weights, params)[0])
 
 
 def oracle_best_threshold(
     hist, complexity: float = 1.0, weights: ObjectiveWeights = ObjectiveWeights()
 ):
     """Exhaustive argmax of J over all 256 integer thresholds (smallest-t tie)."""
-    tab = _Tables(_histogram(hist))
-    wv, we = weights.effective(complexity)
-    j = tab.at_knots(0, np.arange(256), wv, we)
+    j = objective(hist, np.arange(256.0), weights, complexity)
     t = int(np.argmax(j))
     return t, float(j[t])
 

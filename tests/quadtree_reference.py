@@ -54,12 +54,9 @@ class _TileGrid:
         self.img, self.depth = img, depth
         self.xs, self.ys = _cuts(img.width, depth), _cuts(img.height, depth)
         ntx = len(self.xs) - 1
-        col_key = np.repeat(np.arange(ntx) << 8, np.diff(self.xs))
+        tile_col = np.repeat(np.arange(ntx), np.diff(self.xs))
         self.tiles = np.stack(
-            [
-                bin_rows(img.pixels[y0:y1], col_key, ntx * 256).reshape(ntx, 256)
-                for y0, y1 in zip(self.ys, self.ys[1:])
-            ]
+            [bin_rows(img.pixels[y0:y1], tile_col) for y0, y1 in zip(self.ys, self.ys[1:])]
         )
 
     def histogram(self, rect, depth):

@@ -192,10 +192,23 @@ def test_keyed_binning_into_a_given_buffer_matches_a_flat_count(rows):
     # bands as tall as the buffer holds rows, the last one partial
     rng = np.random.default_rng(rows)
     px = rng.integers(0, 256, size=(37, 50), dtype=np.uint8)
-    key = np.repeat(np.arange(5) << 8, 10)
+    groups = np.repeat(np.arange(5), 10)
     buf = np.empty(rows * 50, np.intp)
-    expect = np.bincount((px + key).ravel(), minlength=5 * 256)
-    assert np.array_equal(bin_rows(px, key, 5 * 256, buf), expect)
+    expect = np.bincount((px + 256 * groups).ravel(), minlength=5 * 256).reshape(5, 256)
+    assert np.array_equal(bin_rows(px, groups, buf), expect)
+
+
+@pytest.mark.parametrize("h, w", [(2**18 // 7 + 5, 7), (600, 1000)])
+def test_keyed_binning_without_a_buffer_matches_a_flat_count(h, w):
+    # each column its own group, binned in bands of about 2**18 pixels in a
+    # buffer bin_rows makes: two bands of 7 columns, three of 1000
+    rng = np.random.default_rng(h * w)
+    px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    groups = np.arange(w)
+    hist = bin_rows(px, groups)
+    assert hist.dtype == np.int64 and hist.shape == (w, 256)
+    expect = np.bincount((px + 256 * groups).ravel(), minlength=w * 256).reshape(w, 256)
+    assert np.array_equal(hist, expect)
 
 
 # from `_HELPER_PIXELS` pixels on, the upper half runs on a helper thread;

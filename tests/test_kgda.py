@@ -32,7 +32,7 @@ from stratseg.kgda import (
     _CSV_BLOCK_CHARS,
     _ExactScatter,
     _cross_kernel,
-    _csv_lines,
+    _csv_blocks,
     _magnitude,
     _parse_joined,
     _parse_rows,
@@ -911,12 +911,17 @@ def _at_block_sizes(call, sizes=(_CSV_BLOCK_CHARS, *SMALL_CSV_BLOCKS)):
     return outcomes[0]
 
 
+def _data_lines(text, header):
+    """All data lines of the text: the blocks of `_csv_blocks`, flattened."""
+    return [line for block in _csv_blocks(text, header) for line in block]
+
+
 def assert_csv_paths_agree(text, header=False):
     """load_dataset_csv gives what the row loop alone gives: the same arrays,
     or the same exception with the same message, at the real block size and
     at block sizes of a few characters."""
     fast = _at_block_sizes(lambda: _csv_outcome(lambda: load_dataset_csv(text, header)))
-    loop = _csv_outcome(lambda: LabeledDataset(*_parse_rows(_csv_lines(text, header))))
+    loop = _csv_outcome(lambda: LabeledDataset(*_parse_rows(_data_lines(text, header))))
     assert fast == loop
     return fast
 
@@ -979,7 +984,7 @@ def test_feature_csv_one_pass_matches_row_loop(text, header, n_features):
     """With a feature count (as gda-project reads), read_csv gives what the
     row loop alone gives, labelled rows or not."""
     fast = _at_block_sizes(lambda: _rows_outcome(lambda: read_csv(text, header, n_features)))
-    loop = _rows_outcome(lambda: _parse_rows(_csv_lines(text, header), n_features))
+    loop = _rows_outcome(lambda: _parse_rows(_data_lines(text, header), n_features))
     assert fast == loop
 
 
@@ -998,7 +1003,7 @@ CSV_FIXED_CASES = [  # (text, header, whether the one-pass path parses it)
 @pytest.mark.parametrize("text,header,fast", CSV_FIXED_CASES)
 def test_dataset_csv_one_pass_fixed_cases(text, header, fast):
     outcome = assert_csv_paths_agree(text, header)
-    assert (_parse_joined(_csv_lines(text, header)) is not None) == fast
+    assert (_parse_joined(_data_lines(text, header)) is not None) == fast
     if fast:
         assert outcome[0] == (2, 2)
     else:
@@ -1041,7 +1046,7 @@ def test_csv_blocks_cut_anywhere(text, header, n_features, want):
     over the whole text gives."""
     parse = lambda: _rows_outcome(lambda: read_csv(text, header, n_features))
     fast = _at_block_sizes(parse, range(1, len(text) + 2))
-    assert fast == _rows_outcome(lambda: _parse_rows(_csv_lines(text, header), n_features))
+    assert fast == _rows_outcome(lambda: _parse_rows(_data_lines(text, header), n_features))
     assert (fast if isinstance(want[0], type) else fast[0]) == want
 
 

@@ -676,6 +676,44 @@ def test_one_histogram_entry_points_take_counts_of_any_number_type(call):
         call(np.zeros(256, dtype=np.int64))
 
 
+COMPLEXITIES = {  # complexity: whether the three entry points take it
+    "numeric str": ("0.5", False),
+    "None": (None, False),
+    "bool": (True, False),
+    "NaN": (math.nan, False),
+    "inf": (math.inf, False),
+    "-inf": (-math.inf, False),
+    "below 0": (-0.1, False),
+    "above 1": (1.5, False),
+    "beyond float64": (10**400, False),
+    "int 0": (0, True),
+    "int 1": (1, True),
+    "0.5": (0.5, True),
+    "numpy float": (np.float64(0.5), True),
+}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda h, c: objective(h, 100.0, complexity=c), id="objective"),
+        pytest.param(optimize_leaf, id="optimize_leaf"),
+        pytest.param(oracle_best_threshold, id="oracle_best_threshold"),
+    ],
+)
+@pytest.mark.parametrize("complexity, ok", COMPLEXITIES.values(), ids=COMPLEXITIES.keys())
+def test_one_histogram_entry_points_take_a_complexity_in_0_1(call, complexity, ok):
+    """A caller's complexity is a real number in [0, 1], as `threshold_tree`
+    derives it (entropy / 8); anything else is InvalidArgument, not a
+    TypeError, NaN weights or weights outside [0, 1]."""
+    hist = bimodal_hist(np.random.default_rng(46))
+    if ok:
+        assert call(hist, complexity) == call(hist, float(complexity))
+    else:
+        with pytest.raises(InvalidArgument, match="^complexity"):
+            call(hist, complexity)
+
+
 def test_float_histograms_are_not_written():
     hist = bimodal_hist(np.random.default_rng(44)).astype(np.float64)
     stack = np.stack([hist, hist[::-1]])
