@@ -30,7 +30,7 @@ class TruncatedData(StratsegError):
 
 
 class UnsupportedMaxval(StratsegError):
-    """PGM maxval exceeds 255."""
+    """PGM maxval is `imgio.LEVELS` or more."""
 
 
 # --- thresholding ---

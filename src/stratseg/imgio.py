@@ -1,8 +1,9 @@
 """Grayscale images, bit-exact PGM I/O and banded histograms.
 
-Pixels are 8-bit, stored row-major with the origin at the top-left corner.
-Only single-channel PGM with maxval <= 255 is handled; the canonical writer
-emits binary P5 with newline separators so golden files are byte-exact.
+Pixels are 8-bit, `LEVELS` gray levels, stored row-major with the origin at
+the top-left corner. Only single-channel PGM with maxval below `LEVELS` is
+handled; the canonical writer emits binary P5 with newline separators so
+golden files are byte-exact.
 
 The full-image pixel passes of the segmentation pipeline (binning the tile
 grid, stitching the mask) run as two halves of row bands (`_in_halves`):
@@ -28,8 +29,9 @@ from .errors import (
     whole_array,
 )
 
-__all__ = ["GrayImage", "Rect", "load_pgm", "save_pgm"]
+__all__ = ["LEVELS", "GrayImage", "Rect", "load_pgm", "save_pgm"]
 
+LEVELS = 256  # gray levels of a pixel, 0 to LEVELS - 1: the length of every histogram
 _BAND_PIXELS = 1 << 18  # pixels per bincount call in bin_rows: 64 rows of 4096
 # A pass over at least this many pixels runs its upper half on a helper
 # thread. Below it, starting the thread and passing the GIL between many short
@@ -57,8 +59,8 @@ class GrayImage:
         arr = whole_array("pixels", self.pixels)
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidArgument("pixels must be a non-empty 2-D array")
-        if arr.dtype != np.uint8 and not 0 <= arr.min() <= arr.max() <= 255:
-            raise InvalidArgument("intensities must lie in [0, 255]")
+        if arr.dtype != np.uint8 and not 0 <= arr.min() <= arr.max() <= LEVELS - 1:
+            raise InvalidArgument(f"intensities must lie in [0, {LEVELS - 1}]")
         arr = arr.astype(np.uint8, order="C")  # a copy, of uint8 pixels too
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
@@ -149,8 +151,8 @@ def load_pgm(data: bytes) -> GrayImage:
     width, height, maxval = (_decimal(tok, "header field") for tok, _ in header)
     if width < 1 or height < 1:
         raise MalformedHeader(f"non-positive dimensions {width}x{height}")
-    if maxval > 255:
-        raise UnsupportedMaxval(f"maxval {maxval} > 255")
+    if maxval >= LEVELS:
+        raise UnsupportedMaxval(f"maxval {maxval} > {LEVELS - 1}")
     if maxval < 1:
         raise MalformedHeader(f"invalid maxval {maxval}")
 
@@ -161,7 +163,7 @@ def load_pgm(data: bytes) -> GrayImage:
         if got < npix:
             raise TruncatedData(f"expected {npix} bytes, got {got}")
         arr = np.frombuffer(data, np.uint8, npix, raster_start).reshape(height, width)
-        if maxval < 255 and int(arr.max()) > maxval:
+        if maxval < LEVELS - 1 and int(arr.max()) > maxval:
             raise MalformedHeader("sample exceeds maxval")
         if type(data) is bytes:  # immutable, so the raster is used in place
             return _adopt(arr)
@@ -178,31 +180,31 @@ def load_pgm(data: bytes) -> GrayImage:
 
 def save_pgm(img: GrayImage) -> bytes:
     """Serialize to canonical binary P5: 'P5\\n<w> <h>\\n255\\n' + raster."""
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
+    header = f"P5\n{img.width} {img.height}\n{LEVELS - 1}\n".encode("ascii")
     return header + img.pixels.data  # pixels are C-contiguous: one copy
 
 
-def bin_rows(pixels: np.ndarray, groups=None, buf=None) -> np.ndarray:
-    """int64 counts of the levels of a 2-D uint8 array: (256,) over all of it,
-    or with `groups`, a group index per column, (k, 256) over the columns of
-    each of k = max(groups) + 1 groups. A pixel's bin is its level plus 256
-    times its group; this is the one place that knows the layout.
+def bin_rows(pixels: np.ndarray, groups: np.ndarray, buf=None) -> np.ndarray:
+    """int64 counts of the levels of a 2-D uint8 array, (k, LEVELS): `groups`
+    gives each column a group, and row g counts the columns of group g, for
+    k = max(groups) + 1 groups. A pixel's bin is its level plus LEVELS times
+    its group; this is the one place that knows the layout.
 
     `np.bincount` casts its input to intp, so the rows are keyed into an intp
     buffer a band at a time: the caller's `buf` of at least one row, whose
     length sets the band height, or one of about `_BAND_PIXELS` pixels made
     here. It stays a few MiB and cache-sized whatever the array's size."""
     height, width = pixels.shape
-    key, k = (0, 1) if groups is None else (np.left_shift(groups, 8), int(groups.max()) + 1)
+    key, k = groups * LEVELS, int(groups.max()) + 1
     if buf is None:
         buf = np.empty(min(height, max(1, _BAND_PIXELS // width)) * width, np.intp)
     step, counts = len(buf) // width, None
     for y in range(0, height, step):
         band = pixels[y : y + step]
         keyed = np.add(band, key, out=buf[: band.size].reshape(band.shape))
-        binned = np.bincount(keyed.ravel(), minlength=k << 8).astype(np.int64, copy=False)
+        binned = np.bincount(keyed.ravel(), minlength=k * LEVELS).astype(np.int64, copy=False)
         counts = binned if counts is None else np.add(counts, binned, out=counts)
-    return counts if groups is None else counts.reshape(k, 256)
+    return counts.reshape(k, LEVELS)
 
 
 def _in_halves(lower, upper, size: int) -> None:

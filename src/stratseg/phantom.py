@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, NonBinaryInput, real_number, whole_number
-from .imgio import GrayImage
+from .imgio import LEVELS, GrayImage
 
 __all__ = ["ShapeSpec", "PhantomSpec", "SegMetrics", "generate_phantom", "seg_metrics"]
 
@@ -52,8 +52,8 @@ class ShapeSpec:
         if not (0 < self.rx < math.inf and 0 < self.ry < math.inf):
             raise InvalidSpec("shape extents must be positive and finite")
         object.__setattr__(self, "intensity", whole_number("intensity", self.intensity, InvalidSpec))
-        if not (0 <= self.intensity <= 255):
-            raise InvalidSpec("shape intensity must lie in [0, 255]")
+        if not (0 <= self.intensity <= LEVELS - 1):
+            raise InvalidSpec(f"shape intensity must lie in [0, {LEVELS - 1}]")
 
     def mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         if self.kind == "ellipse":
@@ -79,8 +79,8 @@ class PhantomSpec:
             object.__setattr__(self, name, whole_number(name, getattr(self, name), InvalidSpec))
         if self.width < 1 or self.height < 1:
             raise InvalidSpec("phantom dimensions must be positive")
-        if not (0 <= self.background <= 255):
-            raise InvalidSpec("background must lie in [0, 255]")
+        if not (0 <= self.background <= LEVELS - 1):
+            raise InvalidSpec(f"background must lie in [0, {LEVELS - 1}]")
         if self.seed < 0:
             raise InvalidSpec("seed must be nonnegative")
         if not math.isfinite(real_number("ramp_amplitude", self.ramp_amplitude, InvalidSpec)):
@@ -100,16 +100,9 @@ class PhantomSpec:
             if not isinstance(doc, dict):
                 raise InvalidSpec("phantom spec must be a JSON object")
             shapes = tuple(ShapeSpec(**s) for s in doc.get("shapes", ()))
-            return PhantomSpec(
-                width=doc["width"],
-                height=doc["height"],
-                background=doc.get("background", 0),
-                shapes=shapes,
-                ramp_amplitude=doc.get("ramp_amplitude", 0.0),
-                noise_sigma=doc.get("noise_sigma", 0.0),
-                seed=doc.get("seed", 0),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            # the dataclass gives the defaults and refuses unknown keys
+            return PhantomSpec(**{**doc, "shapes": shapes})
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise InvalidSpec(str(exc)) from None
 
 
@@ -127,8 +120,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple:
             truth |= inside
         diag = max(spec.width - 1, 1) + max(spec.height - 1, 1)
         # a ramp or noise value that overflows to +-inf is far outside
-        # [0, 255], so it clips to 255 or 0 either way; only the sum of two
-        # infinities of opposite sign has no value
+        # [0, LEVELS - 1], so it clips to one end either way; only the sum of
+        # two infinities of opposite sign has no value
         with np.errstate(over="ignore", invalid="ignore"):
             img += spec.ramp_amplitude * (xs + ys) / diag
             if spec.noise_sigma > 0:
@@ -136,7 +129,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple:
                 img += rng.normal(0.0, spec.noise_sigma, size=img.shape)
         if np.isnan(img).any():
             raise InvalidSpec("the ramp and the noise overflow float64 with opposite signs")
-        img = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+        img = np.clip(np.rint(img), 0, LEVELS - 1).astype(np.uint8)
         mask = np.where(truth, 255, 0).astype(np.uint8)
     except MemoryError:
         raise InvalidSpec(f"a {spec.width}x{spec.height} phantom does not fit in memory") from None

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidArgument, real_number, whole_number
-from .imgio import _BAND_PIXELS, GrayImage, Rect, _in_halves, bin_rows
+from .imgio import _BAND_PIXELS, LEVELS, GrayImage, Rect, _in_halves, bin_rows
 
 __all__ = [
     "SplitPolicy",
@@ -41,7 +41,6 @@ __all__ = [
 
 _GRID_DEPTH = 6  # tile grid of at most 64 x 64 tiles: 8 MiB of int64 counts
 _BLOCK_NODES = 1024  # nodes per histogram block: 2 MiB of int64 counts
-_LEVELS = np.arange(256, dtype=np.float64)
 _STAT_FIELDS = ("count", "mean", "variance", "entropy_bits")
 
 
@@ -73,16 +72,17 @@ class RegionStats:
 
 
 def _stats(hists):
-    """(count, mean, variance, entropy bits) arrays of the rows of a (k, 256)
+    """(count, mean, variance, entropy bits) arrays of the rows of a (k, levels)
     stack of histograms, with the bits of 1-D sums on one row: a row sum of a
     C-contiguous block is pairwise like a 1-D sum, and each row's occupied
     levels are summed packed with rows of as many, as zeros would change the
     pairwise order."""
     counts = np.array(hists, dtype=np.float64, ndmin=2)
+    levels = np.arange(counts.shape[1], dtype=np.float64)
     n = counts.sum(axis=1)
-    dev = counts * _LEVELS  # reused in place: one (k, 256) temporary
+    dev = counts * levels  # reused in place: one (k, levels) temporary
     mean = dev.sum(axis=1) / n
-    np.square(np.subtract(_LEVELS, mean[:, None], out=dev), out=dev)
+    np.square(np.subtract(levels, mean[:, None], out=dev), out=dev)
     dev *= counts
     variance = dev.sum(axis=1) / n
     occupied = counts > 0
@@ -127,7 +127,7 @@ class QuadTree:
     first_child: np.ndarray = field(repr=False)  # index of the NW child; -1 for a leaf
     leaves: np.ndarray = field(repr=False)  # leaf node indices, depth-first NW, NE, SW, SE
     # the nodes threshold_tree reads (see `_sources`), ascending, and their
-    # (len(sources), 256) int64 histograms, equal to direct counts
+    # (len(sources), LEVELS) int64 histograms, equal to direct counts
     sources: np.ndarray = field(repr=False)
     source_hists: np.ndarray = field(repr=False)
     leaf_source: np.ndarray = field(repr=False)  # each leaf's row of sources
@@ -158,7 +158,7 @@ def _children(rects: np.ndarray) -> np.ndarray:
 
 
 def _bin_rects(pixels: np.ndarray, rects: np.ndarray, out: np.ndarray):
-    """Write the histograms of k rects into (k, 256) `out`: b rects of one shape
+    """Write the histograms of k rects into (k, LEVELS) `out`: b rects of one shape
     are the columns of one (h * w, b) array, binned in one pass, each column
     its own group."""
     flat, width = pixels.reshape(-1), pixels.shape[1]
@@ -189,7 +189,7 @@ class _TileGrid:
         # column, so no band straddles two
         tile_col = np.repeat(np.arange(ntx), np.diff(xs))
         # sat[j, i] counts the tiles above row cut j and left of column cut i
-        self.sat = sat = np.zeros((len(ys), ntx + 1, 256), np.int64)
+        self.sat = sat = np.zeros((len(ys), ntx + 1, LEVELS), np.int64)
         # the tile rows in two halves, each keying its bands into its own
         # buffer, allocated here: the two together hold one band of a
         # one-thread pass, which is at most one tile row
@@ -207,9 +207,9 @@ class _TileGrid:
         np.cumsum(sat, axis=1, out=sat)
 
     def histograms(self, rects: np.ndarray, depth: np.ndarray) -> np.ndarray:
-        """(k, 256) int64 histograms of k rects at ascending depths: four
+        """(k, LEVELS) int64 histograms of k rects at ascending depths: four
         gathers for the rects on the grid, keyed binning below it."""
-        out = np.empty((len(rects), 256), np.int64)
+        out = np.empty((len(rects), LEVELS), np.int64)
         on = np.searchsorted(depth, self.depth, side="right")
         x0, y0, w, h = rects[:on].T
         i0, i1 = np.searchsorted(self.xs, x0), np.searchsorted(self.xs, x0 + w)

@@ -6,16 +6,17 @@ made continuous in the threshold by piecewise-linear interpolation of the
 histogram's cumulative sums, and is maximized by a 1-D Nelder-Mead simplex
 followed by rounding and a local integer refinement.
 
-Source histograms are optimized in blocks of up to `_BLOCK_ROWS` (256)
-rows. A block's cumulative tables are built in one set of array calls over
-its (rows, 256) stack (`_Tables`), and the simplex and the refinement then
-run in lockstep over the block's rows: each step is one set of array calls
-over the rows still active, with per-row masks for each row's branch, and a
-row retires when it is done (`_simplex`, `_refine`). Each row's numbers do
-not depend on the other rows. `threshold_tree` passes the histograms of all
-its source nodes; `optimize_leaf` and `objective` are the one-row case. The
-tree decides which leaves there are, their order and each leaf's source
-row; `threshold_tree` only reads that plan.
+Source histograms are optimized in blocks of up to `_BLOCK_ROWS` rows. A
+block's cumulative tables are built in one set of array calls over its
+(rows, levels) stack (`_Tables`), whose width sets the knots, and the
+simplex and the refinement then run in lockstep over the block's rows: each
+step is one set of array calls over the rows still active, with per-row
+masks for each row's branch, and a row retires when it is done (`_simplex`,
+`_refine`). Each row's numbers do not depend on the other rows.
+`threshold_tree` passes the histograms of all its source nodes;
+`optimize_leaf` and `objective` are the one-row case. The tree decides which
+leaves there are, their order and each leaf's source row; `threshold_tree`
+only reads that plan.
 
 There is one formula for J (`_Tables.evaluate`), over values gathered from
 the cumulative tables: simplex probes and knots share it, and it squares by
@@ -25,7 +26,7 @@ refinement reads J at the knots of a +-3 window around each row's rounded
 optimum, and then one knot at a time while a row still climbs; at a knot the
 interpolation adds 0 * diff (`_Tables.at_knots`). The exhaustive
 `oracle_best_threshold`, which backs every optimizer claim, is `objective`
-at all 256 knots.
+at all `imgio.LEVELS` knots.
 
 `segment` stitches the mask in full-width row bands, cut at every leaf's
 top and bottom edge: each band is compared against one per-row vector of
@@ -49,7 +50,7 @@ from .errors import (
     real_number,
     whole_number,
 )
-from .imgio import GrayImage, Rect, _adopt, _in_halves
+from .imgio import LEVELS, GrayImage, Rect, _adopt, _in_halves
 from .stratify import QuadTree
 
 __all__ = [
@@ -64,7 +65,6 @@ __all__ = [
     "segment",
 ]
 
-_LN256 = math.log(256.0)
 _BLOCK_ROWS = 256  # rows per table pass and lockstep group: bounds the temporaries
 
 
@@ -73,8 +73,9 @@ class ObjectiveWeights:
     """Blend weights for the variance and entropy criteria.
 
     With `adaptive` set, the entropy weight is scaled by the region's
-    complexity (entropy/8) and the variance weight takes the remainder, so
-    flat regions rely on the variance criterion alone.
+    complexity (entropy / log2 LEVELS, a share of the largest entropy) and
+    the variance weight takes the remainder, so flat regions rely on the
+    variance criterion alone.
     """
 
     w_var: float = 0.7
@@ -142,18 +143,20 @@ class ThresholdReport:
 
 
 class _Tables:
-    """Cumulative-sum tables of a (rows, 256) stack of histograms, one row
-    each, giving a continuous extension of the objective."""
+    """Cumulative-sum tables of a (rows, levels) stack of histograms, one row
+    each, giving a continuous extension of the objective. The knots are 0 to
+    `top` = levels - 1, and the Kapur entropy is normalized by log(levels)."""
 
     def __init__(self, hists):
         counts = np.array(hists, dtype=np.float64, ndmin=2)  # a copy: written in place below
         n = counts.sum(axis=1)
         if np.any(n <= 0):
             raise EmptyHistogram("histogram has zero total count")
-        levels = np.arange(256, dtype=np.float64)
-        self.n = n
+        width = counts.shape[1]
+        levels = np.arange(width, dtype=np.float64)
+        self.n, self.top, self.ln_levels = n, width - 1, math.log(width)
         # the three tables interleaved, so one gather reads all three; the
-        # (rows, 256) steps below work in place to bound the temporaries
+        # (rows, levels) steps below work in place to bound the temporaries
         self.cum = np.empty(counts.shape + (3,))
         self.cum_w, self.cum_s, self.cum_a = (self.cum[..., i] for i in range(3))
         np.cumsum(counts, axis=1, out=self.cum_w)
@@ -175,18 +178,18 @@ class _Tables:
         self.a_tot = self.cum_a[:, -1]
 
     def _at(self, rows, t):
-        """Interpolated (w, s, a) of `rows` at t, clamped into [0, 255];
+        """Interpolated (w, s, a) of `rows` at t, clamped into [0, top];
         piecewise-linear between integer knots and exact at them."""
-        t = np.clip(t, 0.0, 255.0)
+        t = np.clip(t, 0.0, self.top)
         k = t.astype(np.int64)  # t >= 0, so truncation is floor
         frac = (t - k)[..., None]
-        lo, hi = self.cum[rows, k], self.cum[rows, np.minimum(k + 1, 255)]
+        lo, hi = self.cum[rows, k], self.cum[rows, np.minimum(k + 1, self.top)]
         v = lo + frac * (hi - lo)
         return v[..., 0], v[..., 1], v[..., 2]
 
     def evaluate(self, rows, t, w_var, w_ent) -> np.ndarray:
         """J of `rows` (a row, or an index that broadcasts against t) on an
-        array of t; t is clamped into [0, 255]."""
+        array of t; t is clamped into [0, top]."""
         w, s, a = self._at(rows, np.asarray(t, dtype=np.float64))
         n, s_tot, a_tot = self.n[rows], self.s_tot[rows], self.a_tot[rows]
         var_tot = self.var_tot[rows]
@@ -200,23 +203,23 @@ class _Tables:
             v = np.where(var_tot > 0, bcv / var_tot, 0.0)
             h0 = np.where(om0 > 0, np.log(om0) + a / om0, 0.0)
             h1 = np.where(om1 > 0, np.log(om1) + (a_tot - a) / om1, 0.0)
-        e = np.clip((h0 + h1) / (2.0 * _LN256), 0.0, 1.0)
+        e = np.clip((h0 + h1) / (2.0 * self.ln_levels), 0.0, 1.0)
         return w_var * v + w_ent * e
 
     def at_knots(self, rows, k, w_var, w_ent) -> np.ndarray:
-        """J of `rows` at integer knots k; -inf where k is outside [0, 255]."""
-        return np.where((k >= 0) & (k <= 255), self.evaluate(rows, k, w_var, w_ent), -np.inf)
+        """J of `rows` at integer knots k; -inf where k is outside [0, top]."""
+        return np.where((k >= 0) & (k <= self.top), self.evaluate(rows, k, w_var, w_ent), -np.inf)
 
 
 def _histogram(hist, complexity) -> np.ndarray:
-    """`hist` as one histogram, 256 finite, nonnegative counts, given with a
+    """`hist` as one histogram, LEVELS finite, nonnegative counts, given with a
     `complexity` in [0, 1]; InvalidArgument otherwise. All zeros is left to
     `_Tables` (EmptyHistogram)."""
     if not 0 <= real_number("complexity", complexity) <= 1:  # NaN fails too
         raise InvalidArgument(f"complexity must lie in [0, 1], got {float(complexity)}")
     h = real_array("hist", hist)
-    if h.shape != (256,):
-        raise InvalidArgument(f"hist must be 256 counts, got shape {h.shape}")
+    if h.shape != (LEVELS,):
+        raise InvalidArgument(f"hist must be {LEVELS} counts, got shape {h.shape}")
     if not np.all((h >= 0) & (h < math.inf)):  # NaN fails too
         raise InvalidArgument("hist counts must be finite and nonnegative")
     return h
@@ -283,7 +286,7 @@ def _refine(tab: _Tables, x_star: np.ndarray, w_var, w_ent):
     a +-3 knot window, then hill-climb to a strict integer local maximum.
     The weights are (rows, 1) columns. Returns (thresholds, J there)."""
     rows = np.arange(len(x_star))
-    t0 = np.floor(np.clip(x_star, 0.0, 255.0) + 0.5).astype(np.int64)
+    t0 = np.floor(np.clip(x_star, 0.0, tab.top) + 0.5).astype(np.int64)
     window = t0[:, None] + np.arange(-3, 4)
     j = tab.at_knots(rows[:, None], window, w_var, w_ent)
     pick = np.argmax(j, axis=1)
@@ -340,8 +343,8 @@ def optimize_leaf(
 def oracle_best_threshold(
     hist, complexity: float = 1.0, weights: ObjectiveWeights = ObjectiveWeights()
 ):
-    """Exhaustive argmax of J over all 256 integer thresholds (smallest-t tie)."""
-    j = objective(hist, np.arange(256.0), weights, complexity)
+    """Exhaustive argmax of J over all LEVELS integer thresholds (smallest-t tie)."""
+    j = objective(hist, np.arange(LEVELS, dtype=np.float64), weights, complexity)
     t = int(np.argmax(j))
     return t, float(j[t])
 
@@ -365,7 +368,7 @@ def threshold_tree(
     binned again here.
     """
     _check_dims(img, tree)
-    complexities = tree.entropy_bits[tree.sources] / 8.0
+    complexities = tree.entropy_bits[tree.sources] / math.log2(LEVELS)
     found = _optimize_rows(tree.source_hists, complexities, weights, params)
     rects, sources = tree.rects.tolist(), tree.sources.tolist()
     entries = []
@@ -382,8 +385,8 @@ def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImag
     leaves that cross a band tile its full width. Each band is compared
     against one row of its leaves' thresholds, and the bands run in two
     halves, on two threads for a large image (`imgio._in_halves`). A
-    threshold must be a whole number in [0, 255]: the row is uint8, like
-    the pixels."""
+    threshold must be a whole number in [0, LEVELS - 1]: the rows have the
+    pixels' dtype."""
     _check_dims(img, tree)
     if len(tree.leaves) != len(report.entries):
         raise ReportTreeMismatch(f"{len(report.entries)} entries for {len(tree.leaves)} leaves")
@@ -393,8 +396,8 @@ def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImag
         if r is None or (r.x0, r.y0, r.w, r.h) != (x0, y0, w, h):
             raise ReportTreeMismatch(f"entry rect {r} != leaf rect {Rect(x0, y0, w, h)}")
     t = np.array([e.threshold for e in report.entries])
-    if t.dtype.kind not in "iu" or t.min() < 0 or t.max() > 255:
-        raise InvalidArgument("leaf thresholds must be whole numbers in [0, 255]")
+    if t.dtype.kind not in "iu" or t.min() < 0 or t.max() > LEVELS - 1:
+        raise InvalidArgument(f"leaf thresholds must be whole numbers in [0, {LEVELS - 1}]")
     x0, y0, w, h = rects.T
     cuts = np.unique(np.concatenate([y0, y0 + h]))
     # one (band, leaf) pair for each band a leaf crosses, in (band, x0) order
@@ -403,19 +406,19 @@ def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImag
     leaf = np.repeat(np.arange(len(rects)), span)
     band = np.arange(len(leaf)) - np.repeat(np.cumsum(span) - span - first, span)
     leaf = leaf[np.lexsort((x0[leaf], band))]
-    rows = np.repeat(t[leaf].astype(np.uint8), w[leaf]).reshape(len(cuts) - 1, img.width)
+    rows = np.repeat(t[leaf].astype(img.pixels.dtype), w[leaf]).reshape(len(cuts) - 1, img.width)
     # (first row, end row, band) runs; the halves meet at the middle row,
     # which may cut a band in two
     mid = img.height // 2
     edges = np.union1d(cuts, mid).tolist()
     runs = list(zip(edges, edges[1:], np.searchsorted(cuts, edges[:-1], side="right") - 1))
     mask = np.empty((img.height, img.width), dtype=np.uint8)
-    flags = mask.view(bool)
+    flags, top = mask.view(bool), np.iinfo(mask.dtype).max
 
     def stitch(part):
         for a, b, k in part:
             np.greater(img.pixels[a:b], rows[k], out=flags[a:b])
-            mask[a:b] *= 255  # while the run is still in cache
+            mask[a:b] *= top  # while the run is still in cache
 
     half = edges.index(mid)
     _in_halves(lambda: stitch(runs[:half]), lambda: stitch(runs[half:]), img.pixels.size)

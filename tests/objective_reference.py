@@ -6,9 +6,10 @@ computed J at a scalar threshold with numpy operations on 0-d arrays.
 `reference_probe`, `reference_nelder_mead`, `reference_refine` and
 `reference_optimize_leaf` are the former per-leaf optimizer: J at one real
 threshold in plain Python floats, the scalar simplex loop, and the integer
-refinement over the 256-knot table. The library now runs the simplex and the
-refinement in lockstep over a block of rows (`threshopt._optimize_rows`);
-the tests compare it against this code bit for bit.
+refinement over the table of J at every knot. The library now runs the
+simplex and the refinement in lockstep over a block of rows
+(`threshopt._optimize_rows`); the tests compare it against this code bit
+for bit.
 """
 
 import functools
@@ -18,8 +19,6 @@ import numpy as np
 
 from stratseg.threshopt import LeafThreshold, ObjectiveWeights, SimplexParams
 
-_LN256 = math.log(256.0)
-
 
 class ReferenceTables:
     def __init__(self, hist):
@@ -27,8 +26,9 @@ class ReferenceTables:
         n = counts.sum()
         if n <= 0:
             raise ValueError("histogram has zero total count")
-        levels = np.arange(256, dtype=np.float64)
-        self.n = n
+        levels = np.arange(len(counts), dtype=np.float64)
+        # the knots are 0 to top, and the Kapur entropy is normalized by log(levels)
+        self.n, self.top, self.ln_levels = n, len(counts) - 1, math.log(len(counts))
         self.cum_w = np.cumsum(counts)
         self.cum_s = np.cumsum(counts * levels)
         p = counts / n
@@ -47,21 +47,22 @@ class ReferenceTables:
         return lists + (float(self.n), float(self.s_tot))
 
     def knot_table(self, w_var, w_ent):
-        """J at the 256 integer knots (cached per weight pair)."""
+        """J at the integer knots 0 to top (cached per weight pair)."""
         if (w_var, w_ent) not in self._knots:
-            self._knots[w_var, w_ent] = self.evaluate(np.arange(256.0), w_var, w_ent)
+            knots = np.arange(self.top + 1, dtype=np.float64)
+            self._knots[w_var, w_ent] = self.evaluate(knots, w_var, w_ent)
         return self._knots[w_var, w_ent]
 
     def _interp(self, table, t):
         k = np.floor(t).astype(np.int64)
-        k = np.clip(k, 0, 255)
+        k = np.clip(k, 0, self.top)
         frac = t - k
-        hi = np.minimum(k + 1, 255)
+        hi = np.minimum(k + 1, self.top)
         return table[k] + frac * (table[hi] - table[k])
 
     def evaluate(self, t, w_var, w_ent):
-        """J(t) for scalar or array t; t is clamped into [0, 255]."""
-        t_arr = np.clip(np.asarray(t, dtype=np.float64), 0.0, 255.0)
+        """J(t) for scalar or array t; t is clamped into [0, top]."""
+        t_arr = np.clip(np.asarray(t, dtype=np.float64), 0.0, self.top)
         w = self._interp(self.cum_w, t_arr)
         s = self._interp(self.cum_s, t_arr)
         a = self._interp(self.cum_a, t_arr)
@@ -77,7 +78,7 @@ class ReferenceTables:
             h0 = np.where(om0 > 0, np.log(np.where(om0 > 0, om0, 1.0)) + a / np.where(om0 > 0, om0, 1.0), 0.0)
             rest = self.a_tot - a
             h1 = np.where(om1 > 0, np.log(np.where(om1 > 0, om1, 1.0)) + rest / np.where(om1 > 0, om1, 1.0), 0.0)
-        e = np.clip((h0 + h1) / (2.0 * _LN256), 0.0, 1.0)
+        e = np.clip((h0 + h1) / (2.0 * self.ln_levels), 0.0, 1.0)
         j = w_var * v + w_ent * e
         return float(j) if np.isscalar(t) or np.ndim(t) == 0 else j
 
@@ -86,10 +87,11 @@ def probe_terms(tables, t):
     """(mu0 - mu1, om0, om1, a) of the plain-float probe at one real t: the
     values it squares, logs and divides."""
     lw, ls, la, n, s_tot = tables.scalars
-    t = 0.0 if t <= 0.0 else min(t, 255.0)
+    top = tables.top
+    t = 0.0 if t <= 0.0 else min(t, float(top))
     k = int(t)
     frac = t - k
-    hi = k + 1 if k < 255 else 255
+    hi = k + 1 if k < top else top
     w = lw[k] + frac * (lw[hi] - lw[k])
     s = ls[k] + frac * (ls[hi] - ls[k])
     a = la[k] + frac * (la[hi] - la[k])
@@ -101,7 +103,7 @@ def probe_terms(tables, t):
 
 
 def reference_probe(tables, w_var, w_ent):
-    """J of the tables' histogram at one real t (clamped into [0, 255]; NaN
+    """J of the tables' histogram at one real t (clamped into [0, top]; NaN
     gives NaN) in plain floats. The square is `d * d`, an IEEE multiply like
     the library's `np.square`, and the logs go through `np.log`, because
     `math.log` differs in the last bit on a few inputs."""
@@ -115,7 +117,7 @@ def reference_probe(tables, w_var, w_ent):
         v = bcv / var_tot if var_tot > 0 else 0.0
         h0 = float(np.log(om0)) + a / om0 if om0 > 0 else 0.0
         h1 = float(np.log(om1)) + (a_tot - a) / om1 if om1 > 0 else 0.0
-        e = (h0 + h1) / (2.0 * _LN256)
+        e = (h0 + h1) / (2.0 * tables.ln_levels)
         e = 0.0 if e <= 0.0 else min(e, 1.0)  # np.clip: -0.0 -> 0.0, NaN kept
         return w_var * v + w_ent * e
 
@@ -158,11 +160,12 @@ def reference_nelder_mead(f, x0, params=SimplexParams()):
 def reference_refine(j, t_star):
     """Round, scan a +-3 window of the knot table j (smallest-t ties), then
     hill-climb to a strict integer local maximum."""
-    t0 = int(np.floor(min(max(t_star, 0.0), 255.0) + 0.5))
-    lo, hi = max(0, t0 - 3), min(255, t0 + 3)
+    top = len(j) - 1
+    t0 = int(np.floor(min(max(t_star, 0.0), float(top)) + 0.5))
+    lo, hi = max(0, t0 - 3), min(top, t0 + 3)
     t = lo + int(np.argmax(j[lo : hi + 1]))  # first max = smallest tie
     while True:
-        if t < 255 and j[t + 1] > j[t]:
+        if t < top and j[t + 1] > j[t]:
             t += 1
         elif t > 0 and j[t - 1] > j[t]:
             t -= 1
@@ -174,7 +177,7 @@ def reference_optimize_leaf(
     hist, complexity, weights=ObjectiveWeights(), params=SimplexParams(), tables=None
 ):
     """The per-leaf optimizer: simplex from the mean, then refinement on the
-    256-knot table. `tables` may pass the histogram's ReferenceTables in."""
+    knot table. `tables` may pass the histogram's ReferenceTables in."""
     tab = ReferenceTables(hist) if tables is None else tables
     wv, we = weights.effective(complexity)
     x_star, _, iters, converged = reference_nelder_mead(

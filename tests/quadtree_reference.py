@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stratseg.imgio import Rect, bin_rows
+from stratseg.imgio import LEVELS, Rect, bin_rows
 from stratseg.stratify import RegionStats
 
 GRID_DEPTH = 6
@@ -24,7 +24,7 @@ GRID_DEPTH = 6
 def reference_stats(hist) -> RegionStats:
     counts = np.asarray(hist, dtype=np.float64)
     n = counts.sum()
-    levels = np.arange(256, dtype=np.float64)
+    levels = np.arange(len(counts), dtype=np.float64)
     mean = float((counts * levels).sum() / n)
     variance = float((counts * (levels - mean) ** 2).sum() / n)
     p = counts[counts > 0] / n
@@ -62,7 +62,7 @@ class _TileGrid:
     def histogram(self, rect, depth):
         if depth > self.depth:
             sub = self.img.pixels[rect.y0 : rect.y0 + rect.h, rect.x0 : rect.x0 + rect.w]
-            return np.bincount(sub.ravel(), minlength=256)
+            return np.bincount(sub.ravel(), minlength=LEVELS)
         xs, ys = self.xs, self.ys
         tx, ty = xs.index(rect.x0), ys.index(rect.y0)
         tx1, ty1 = xs.index(rect.x0 + rect.w), ys.index(rect.y0 + rect.h)

@@ -146,26 +146,31 @@ def test_digit_run_past_the_int_conversion_limit_is_malformed():
         load_pgm(b"P2 1 1 255 " + b"2" * 5000)
 
 
+def bin_all(pixels):
+    """The histogram of all of `pixels`: every column in group 0, row 0."""
+    return bin_rows(pixels, np.zeros(pixels.shape[1], np.intp))[0]
+
+
 def test_histogram_constant_region():
     img = GrayImage(np.full((4, 4), 128, dtype=np.uint8))
-    hist = bin_rows(img.pixels[0:4, 0:4])
+    hist = bin_all(img.pixels[0:4, 0:4])
     assert hist[128] == 16 and hist.sum() == 16
 
 
 def test_histogram_two_pixels():
     img = GrayImage(np.array([[3, 3]], dtype=np.uint8))
-    hist = bin_rows(img.pixels[0:1, 0:2])
+    hist = bin_all(img.pixels[0:1, 0:2])
     assert hist[3] == 2 and hist.sum() == 2
 
 
 def test_histogram_additivity_over_tiling():
     rng = np.random.default_rng(13)
     img = GrayImage(rng.integers(0, 256, size=(24, 32), dtype=np.uint8))
-    full = bin_rows(img.pixels)
+    full = bin_all(img.pixels)
     total = np.zeros(256, dtype=np.int64)
     # irregular exact tiling
     for x0, y0, w, h in [(0, 0, 10, 24), (10, 0, 22, 7), (10, 7, 22, 17)]:
-        total += bin_rows(img.pixels[y0 : y0 + h, x0 : x0 + w])
+        total += bin_all(img.pixels[y0 : y0 + h, x0 : x0 + w])
     assert np.array_equal(total, full)
     # oracle: per-pixel counting
     oracle = np.bincount(img.pixels.ravel(), minlength=256)
@@ -178,12 +183,12 @@ def test_histogram_over_many_row_bands_matches_flat_count(w, h):
     # several bands, end in a partial one, or are one row or column wide
     rng = np.random.default_rng(w + h)
     img = GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
-    hist = bin_rows(img.pixels)
+    hist = bin_all(img.pixels)
     assert hist.dtype == np.int64
     assert np.array_equal(hist, np.bincount(img.pixels.ravel(), minlength=256))
     if h > 1:  # an offset region whose bands start mid-image
         assert np.array_equal(
-            bin_rows(img.pixels[1:]), np.bincount(img.pixels[1:].ravel(), minlength=256)
+            bin_all(img.pixels[1:]), np.bincount(img.pixels[1:].ravel(), minlength=256)
         )
 
 
@@ -271,7 +276,7 @@ def test_histogram_mass_equals_area():
     for _ in range(20):
         x0, y0 = rng.integers(0, 15, size=2)
         w, h = rng.integers(1, 6, size=2)
-        assert bin_rows(img.pixels[y0 : y0 + h, x0 : x0 + w]).sum() == w * h
+        assert bin_all(img.pixels[y0 : y0 + h, x0 : x0 + w]).sum() == w * h
 
 
 def test_grayimage_immutable():

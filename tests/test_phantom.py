@@ -138,6 +138,16 @@ def test_invalid_specs_rejected(mutate):
         mutate()
 
 
+def test_misspelt_spec_keys_are_rejected():
+    """A key the spec does not have, at the top level or in a shape, is an
+    error that names it, rather than a field left at its default."""
+    with pytest.raises(InvalidSpec, match="noise_sgima"):
+        PhantomSpec.from_json('{"width": 4, "height": 4, "noise_sgima": 5}')
+    shape = '{"kind": "ellipse", "cx": 2, "cy": 2, "rx": 1, "ry": 1, "intensty": 9}'
+    with pytest.raises(InvalidSpec, match="intensty"):
+        PhantomSpec.from_json('{"width": 4, "height": 4, "shapes": [%s]}' % shape)
+
+
 def test_number_fields_keep_their_values():
     shape = ShapeSpec("ellipse", 3, np.float32(2.5), 1, np.int64(2), 10)
     assert (type(shape.cx), type(shape.cy), type(shape.ry)) == (int, np.float32, np.int64)

@@ -34,6 +34,7 @@ from objective_reference import (
     reference_optimize_leaf,
     reference_probe,
 )
+from quadtree_reference import reference_stats
 from segment_reference import reference_segment
 
 
@@ -244,6 +245,35 @@ def test_knot_table_is_bit_identical_to_array_evaluation():
         table = tab.at_knots(0, np.arange(256), wv, we)
         assert np.array_equal(bits(table), bits(tab.evaluate(0, knots, wv, we)))
         assert np.array_equal(bits(table), bits(ReferenceTables(hist).evaluate(knots, wv, we)))
+
+
+def test_stats_and_tables_take_the_level_count_from_the_histograms():
+    """On a stack of 16-level histograms, each occupying one to all 16
+    levels, the stats, J at the knots and at real t across both clamps, and
+    the optimizer's results are the bits of the scalar references over 16
+    levels."""
+    rng = np.random.default_rng(30)
+    hists = np.zeros((40, 16), dtype=np.int64)
+    for row in hists:
+        m = int(rng.integers(1, 17))
+        row[rng.choice(16, m, replace=False)] = rng.integers(1, 10**6, m)
+    for hist, stats in zip(hists, np.array(_stats(hists)).T):
+        expect = reference_stats(hist)
+        assert [float(v).hex() for v in stats] == [float(v).hex() for v in vars(expect).values()]
+    complexities = rng.uniform(0.0, 1.0, len(hists))
+    tab = _Tables(hists)
+    knots, ts = np.arange(16.0), np.append(rng.uniform(-2.0, 18.0, 32), [0.0, 15.0, 15.5])
+    found = _optimize_rows(hists, complexities, ObjectiveWeights(), SimplexParams())
+    for i, (hist, complexity) in enumerate(zip(hists, complexities)):
+        wv, we = ObjectiveWeights().effective(complexity)
+        ref = ReferenceTables(hist)
+        for t in (knots, ts):
+            assert np.array_equal(bits(tab.evaluate(i, t, wv, we)), bits(ref.evaluate(t, wv, we)))
+        at_knots = tab.at_knots(i, np.arange(-1, 17), wv, we)
+        assert np.array_equal(bits(at_knots[1:-1]), bits(ref.knot_table(wv, we)))
+        assert at_knots[0] == at_knots[-1] == -np.inf
+        expect = reference_optimize_leaf(hist, complexity, tables=ref)
+        assert LeafThreshold(*found[i]) == expect, hist
 
 
 def _row(kind, rng):
