@@ -21,13 +21,11 @@ from stratseg import (
     GrayImage,
     PhantomSpec,
     ShapeSpec,
-    build_quadtree,
     generate_phantom,
     oracle_best_threshold,
     save_pgm,
     seg_metrics,
-    segment,
-    threshold_tree,
+    segment_image,
 )
 
 OUT = pathlib.Path("demo_output")
@@ -73,9 +71,7 @@ print(f"global threshold t={t_global}: distortion={gm.distortion:.4f} "
 # leaf then gets its own threshold from the blended variance/entropy
 # objective; homogeneous leaves inherit the threshold of their parent, whose
 # histogram still resolves both classes.
-tree = build_quadtree(img)
-report = threshold_tree(img, tree)
-mask = segment(img, tree, report)
+tree, report, mask = segment_image(img)
 (OUT / "mask_stratified.pgm").write_bytes(save_pgm(mask))
 m = seg_metrics(mask, truth)
 

@@ -27,6 +27,7 @@ from .threshopt import (
     optimize_leaf,
     oracle_best_threshold,
     segment,
+    segment_image,
     threshold_tree,
 )
 

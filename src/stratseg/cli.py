@@ -67,9 +67,7 @@ def cmd_segment(args) -> int:
     img = imgio.load_pgm(_read_bytes(args.image))
     policy, weights, params = _segment_params(args)
     t0 = time.perf_counter()
-    tree = stratify.build_quadtree(img, policy)
-    report = threshopt.threshold_tree(img, tree, weights, params)
-    mask = threshopt.segment(img, tree, report)
+    tree, report, mask = threshopt.segment_image(img, policy, weights, params)
     elapsed = time.perf_counter() - t0
     _write(args.mask_out, imgio.save_pgm(mask))
     doc = {

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, NonBinaryInput, real_number, whole_number
-from .imgio import LEVELS, GrayImage
+from .imgio import LEVELS, GrayImage, bin_rows
 
 __all__ = ["ShapeSpec", "PhantomSpec", "SegMetrics", "generate_phantom", "seg_metrics"]
 
@@ -154,8 +154,8 @@ class SegMetrics:
 
 
 def _require_binary(img: GrayImage, name: str):
-    vals = np.unique(img.pixels)
-    if not np.all(np.isin(vals, (0, 255))):
+    counts = bin_rows(img.pixels, np.zeros(img.width, np.intp))[0]
+    if counts[1 : LEVELS - 1].any():
         raise NonBinaryInput(f"{name} contains values other than 0 and 255")
 
 

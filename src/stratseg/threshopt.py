@@ -1,4 +1,7 @@
-"""Per-subdomain threshold selection.
+"""Per-subdomain threshold selection, and the segmentation pipeline.
+
+`segment_image` runs `stratify.build_quadtree`, `threshold_tree` and
+`segment`; the benchmark and the stage tests call the three one by one.
 
 The objective blends the normalized Otsu between-class variance with the
 normalized Kapur two-class entropy under a complexity-adaptive weight, is
@@ -51,7 +54,7 @@ from .errors import (
     whole_number,
 )
 from .imgio import LEVELS, GrayImage, Rect, _adopt, _in_halves
-from .stratify import QuadTree
+from .stratify import QuadTree, SplitPolicy, build_quadtree
 
 __all__ = [
     "ObjectiveWeights",
@@ -63,6 +66,7 @@ __all__ = [
     "oracle_best_threshold",
     "threshold_tree",
     "segment",
+    "segment_image",
 ]
 
 _BLOCK_ROWS = 256  # rows per table pass and lockstep group: bounds the temporaries
@@ -423,3 +427,16 @@ def segment(img: GrayImage, tree: QuadTree, report: ThresholdReport) -> GrayImag
     half = edges.index(mid)
     _in_halves(lambda: stitch(runs[:half]), lambda: stitch(runs[half:]), img.pixels.size)
     return _adopt(mask)
+
+
+def segment_image(
+    img: GrayImage,
+    policy: SplitPolicy = SplitPolicy(),
+    weights: ObjectiveWeights = ObjectiveWeights(),
+    params: SimplexParams = SimplexParams(),
+) -> tuple:
+    """Stratify `img` under `policy`, threshold each leaf and stitch the mask:
+    (tree, report, mask) of `build_quadtree`, `threshold_tree` and `segment`."""
+    tree = build_quadtree(img, policy)
+    report = threshold_tree(img, tree, weights, params)
+    return tree, report, segment(img, tree, report)

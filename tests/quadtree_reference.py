@@ -4,7 +4,8 @@
 by node, gave each node the sum of its tiles' histograms (or binned the
 node's own pixels below the tile grid) and computed each node's stats from
 that one histogram with the 1-D reductions of `reference_stats`. Nodes are
-`ReferenceNode`s that keep their histogram. The library now builds one
+`ReferenceNode`s that keep their histogram, with their stats as a plain
+(count, mean, variance, entropy_bits) tuple. The library now builds one
 level at a time over arrays (`stratify.build_quadtree`), with the stats of
 a whole block of rows in one set of array calls; the tests compare the two
 bit for bit.
@@ -16,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from stratseg.imgio import LEVELS, Rect, bin_rows
-from stratseg.stratify import RegionStats
 
 GRID_DEPTH = 6
+STAT_FIELDS = ("count", "mean", "variance", "entropy_bits")
 
 
-def reference_stats(hist) -> RegionStats:
+def reference_stats(hist) -> tuple:
     counts = np.asarray(hist, dtype=np.float64)
     n = counts.sum()
     levels = np.arange(len(counts), dtype=np.float64)
@@ -29,16 +30,20 @@ def reference_stats(hist) -> RegionStats:
     variance = float((counts * (levels - mean) ** 2).sum() / n)
     p = counts[counts > 0] / n
     entropy = float(-(p * np.log2(p)).sum())
-    return RegionStats(int(n), mean, variance, entropy)
+    return int(n), mean, variance, entropy
 
 
 @dataclass(frozen=True)
 class ReferenceNode:
     rect: Rect
     depth: int
-    stats: RegionStats
+    stats: tuple  # STAT_FIELDS
     children: tuple
     hist: np.ndarray
+
+    @property
+    def variance(self) -> float:
+        return self.stats[2]
 
 
 def _cuts(n, depth):
@@ -88,9 +93,10 @@ def _may_split(r, policy):
 def _build(grid, rect, depth, policy):
     hist = grid.histogram(rect, depth)
     stats = reference_stats(hist)
+    _, _, variance, _ = stats
     children = ()
     if (
-        stats.variance > policy.var_threshold
+        variance > policy.var_threshold
         and depth < policy.max_depth
         and _may_split(rect, policy)
     ):
@@ -109,12 +115,7 @@ def reference_to_dict(node) -> dict:
     d = {
         "rect": {"x0": node.rect.x0, "y0": node.rect.y0, "w": node.rect.w, "h": node.rect.h},
         "depth": node.depth,
-        "stats": {
-            "count": node.stats.count,
-            "mean": node.stats.mean,
-            "variance": node.stats.variance,
-            "entropy_bits": node.stats.entropy_bits,
-        },
+        "stats": dict(zip(STAT_FIELDS, node.stats)),
     }
     if node.children:
         d["children"] = [reference_to_dict(c) for c in node.children]
@@ -131,7 +132,7 @@ def reference_sources(root, var_threshold):
         if node.children:
             for child in node.children:
                 visit(child, node)
-        elif node.stats.variance > var_threshold or parent is None:
+        elif node.variance > var_threshold or parent is None:
             out[node.rect] = node.hist
         else:
             out[parent.rect] = parent.hist

@@ -35,8 +35,7 @@ from stratseg import (
     save_pgm,
     scatter_matrices,
     seg_metrics,
-    segment,
-    threshold_tree,
+    segment_image,
     train_gda,
 )
 from stratseg.cli import main as cli_main
@@ -166,9 +165,7 @@ ACCEPTANCE_PHANTOM = PhantomSpec(
 def test_criterion_3_stratified_segmentation_on_ramped_phantom():
     img, truth = generate_phantom(ACCEPTANCE_PHANTOM)
     t0 = time.perf_counter()
-    tree = build_quadtree(img)  # default policy
-    rep = threshold_tree(img, tree)  # default weights and simplex
-    mask = segment(img, tree, rep)
+    tree, _, mask = segment_image(img)  # default policy, weights and simplex
     elapsed = time.perf_counter() - t0
     m = seg_metrics(mask, truth)
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from stratseg import (
     ShapeSpec,
     SimplexParams,
     SplitPolicy,
+    generate_phantom,
     load_model,
     load_pgm,
     save_dataset_csv,
     save_pgm,
+    segment_image,
     train_gda,
 )
 import stratseg
@@ -128,6 +131,32 @@ def test_segment_command_deterministic_reruns(tmp_path):
         run(["segment", img_path, "--mask-out", m, "--report-out", r])
         outs.append((m.read_bytes(), r.read_bytes()))
     assert outs[0] == outs[1]
+
+
+SEGMENT_FLAGS = {
+    "defaults": ([], ()),
+    "flags": (
+        ["--min-side", 4, "--var-threshold", 100, "--w-var", 0.5, "--w-ent", 0.5, "--no-adaptive",
+         "--max-iter", 3],
+        (SplitPolicy(min_side=4, var_threshold=100), ObjectiveWeights(0.5, 0.5, adaptive=False),
+         SimplexParams(max_iter=3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("flags, args", SEGMENT_FLAGS.values(), ids=SEGMENT_FLAGS.keys())
+def test_segment_command_writes_the_segment_image_mask(tmp_path, flags, args):
+    """`segment` writes the mask and the leaves of `segment_image` under the
+    flags' parameters; on this noisy phantom the two flag sets give
+    different masks."""
+    shape = ShapeSpec("ellipse", 48, 48, 26, 20, 150)
+    img, _ = generate_phantom(PhantomSpec(96, 96, 70, (shape,), 20.0, noise_sigma=15.0, seed=7))
+    img_path, mask_out, report_out = tmp_path / "img.pgm", tmp_path / "mask.pgm", tmp_path / "r.json"
+    img_path.write_bytes(save_pgm(img))
+    assert run(["segment", img_path, "--mask-out", mask_out, "--report-out", report_out, *flags]) == 0
+    _, report, mask = segment_image(img, *args)
+    assert mask_out.read_bytes() == save_pgm(mask)
+    assert json.loads(report_out.read_text())["leaves"] == [asdict(e) for e in report.entries]
 
 
 def test_eval_seg_command(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from stratseg import GrayImage, PhantomSpec, ShapeSpec, generate_phantom, seg_metrics
+from stratseg import GrayImage, PhantomSpec, SegMetrics, ShapeSpec, generate_phantom, seg_metrics
 from stratseg.errors import DimensionMismatch, InvalidSpec, NonBinaryInput, StratsegError
 
 from json_documents import json_documents
@@ -210,6 +210,27 @@ def test_metrics_input_validation():
     gray = GrayImage(np.full((3, 3), 7, dtype=np.uint8))
     with pytest.raises(NonBinaryInput):
         seg_metrics(gray, binary(np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize("level", [1, 128, 254])
+@pytest.mark.parametrize("side", ["mask", "truth"])
+def test_metrics_find_one_stray_level_past_the_first_band(level, side):
+    """The binary check counts levels band by band: one pixel of a level
+    other than 0 and 255 in the last row of a 600x1000 image, past the
+    first band, is found in the mask and in the truth."""
+    clean = np.zeros((1000, 600), dtype=np.uint8)
+    clean[:, 300:] = 255
+    stray = clean.copy()
+    stray[-1, 17] = level
+    images = {"mask": GrayImage(clean), "truth": GrayImage(clean), side: GrayImage(stray)}
+    with pytest.raises(NonBinaryInput, match=f"^{side} contains values other than 0 and 255$"):
+        seg_metrics(images["mask"], images["truth"])
+
+
+@pytest.mark.parametrize("value", [0, 255])
+def test_metrics_take_a_one_level_image(value):
+    flat = GrayImage(np.full((1000, 600), value, dtype=np.uint8))
+    assert seg_metrics(flat, flat) == SegMetrics(0.0, 1.0)
 
 
 def test_metrics_json_has_definitions():

@@ -1,6 +1,7 @@
 import gc
 import json
 import threading
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from stratseg import GrayImage, SplitPolicy, build_quadtree, imgio, stratify
 from stratseg.errors import InvalidArgument
 from stratseg.imgio import Rect
-from stratseg.stratify import RegionStats, _stats, node_to_dict
+from stratseg.stratify import _stats, node_to_dict
 
 from quadtree_reference import (
     reference_build,
@@ -54,9 +55,9 @@ def random_policy(rng):
 def test_constant_image_single_leaf():
     img = GrayImage(np.full((64, 64), 77, dtype=np.uint8))
     tree = build_quadtree(img, SplitPolicy(var_threshold=0.0))
-    assert tree.root.is_leaf
-    assert tree.root.stats.variance == 0.0
-    assert tree.root.stats.mean == 77.0
+    assert tree.first_child[0] == -1
+    assert tree.variance[0] == 0.0
+    assert tree.mean[0] == 77.0
 
 
 def test_quadrant_image_splits_once():
@@ -76,33 +77,33 @@ def test_root_stats_hand_computed():
     # values {0, 85, 170, 255} in equal proportion:
     # mean 127.5, variance ((127.5)^2 + (42.5)^2) / 2 = 9031.25, entropy 2 bits
     tree = build_quadtree(quadrant_image(), SplitPolicy(min_side=8))
-    st = tree.root.stats
-    assert st.count == 256
-    assert st.mean == pytest.approx(127.5)
-    assert st.variance == pytest.approx(9031.25)
-    assert st.entropy_bits == pytest.approx(2.0)
+    assert tree.count[0] == 256
+    assert tree.mean[0] == pytest.approx(127.5)
+    assert tree.variance[0] == pytest.approx(9031.25)
+    assert tree.entropy_bits[0] == pytest.approx(2.0)
 
 
 def test_max_depth_zero_single_leaf():
     tree = build_quadtree(quadrant_image(), SplitPolicy(max_depth=0, min_side=2))
-    assert tree.root.is_leaf
+    assert tree.first_child[0] == -1
 
 
 def test_min_side_blocks_split():
     # splitting 16x16 would give 8-px children; min_side 9 forbids it
     tree = build_quadtree(quadrant_image(), SplitPolicy(min_side=9))
-    assert tree.root.is_leaf
+    assert tree.first_child[0] == -1
 
 
 def test_odd_side_split_point_is_ceiling_half():
     px = np.zeros((5, 5), dtype=np.uint8)
     px[:, 3:] = 255  # heterogeneous, forces a split with min_side=2
     tree = build_quadtree(GrayImage(px), SplitPolicy(min_side=2, var_threshold=100))
-    nw, ne, sw, se = tree.root.children
-    assert (nw.rect.w, nw.rect.h) == (3, 3)
-    assert (ne.rect.x0, ne.rect.w) == (3, 2)
-    assert (sw.rect.y0, sw.rect.h) == (3, 2)
-    assert (se.rect.w, se.rect.h) == (2, 2)
+    fc = tree.first_child[0]
+    nw, ne, sw, se = (Rect(*r) for r in tree.rects[fc : fc + 4].tolist())
+    assert (nw.w, nw.h) == (3, 3)
+    assert (ne.x0, ne.w) == (3, 2)
+    assert (sw.y0, sw.h) == (3, 2)
+    assert (se.w, se.h) == (2, 2)
 
 
 def test_leaves_tile_image_exactly():
@@ -160,23 +161,25 @@ def test_node_stats_match_direct_pixel_computation():
         img = random_image(rng)
         tree = build_quadtree(img, random_policy(rng))
         for (x0, y0, w, h), stats in zip(tree.rects.tolist(), node_stats(tree)):
+            count, mean, variance, entropy_bits = stats
             sub = img.pixels[y0 : y0 + h, x0 : x0 + w].astype(np.float64)
-            assert stats.count == sub.size
-            assert stats.mean == pytest.approx(sub.mean(), rel=1e-12, abs=1e-12)
-            assert stats.variance == pytest.approx(
+            assert count == sub.size
+            assert mean == pytest.approx(sub.mean(), rel=1e-12, abs=1e-12)
+            assert variance == pytest.approx(
                 np.mean((sub - sub.mean()) ** 2), rel=1e-9, abs=1e-9
             )
             counts = np.bincount(sub.astype(np.int64).ravel(), minlength=256)
             p = counts[counts > 0] / sub.size
-            assert stats.entropy_bits == pytest.approx(
+            assert entropy_bits == pytest.approx(
                 -(p * np.log2(p)).sum(), rel=1e-12, abs=1e-12
             )
 
 
 def node_stats(tree):
-    """The RegionStats of every node, in level order, read off the arrays."""
+    """The (count, mean, variance, entropy_bits) of every node, in level
+    order, read off the arrays."""
     columns = (tree.count, tree.mean, tree.variance, tree.entropy_bits)
-    return [RegionStats(*row) for row in zip(*(c.tolist() for c in columns))]
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def disk_image(w, h):
@@ -280,10 +283,6 @@ def test_node_histogram_stays_out_of_report_and_equality():
     assert a.root == b.root
 
 
-def _structure(node):
-    return (node.rect, node.depth, tuple(_structure(c) for c in node.children))
-
-
 def test_relaxing_variance_threshold_gives_prefix_tree():
     """Raising var_threshold can only prune: the coarse tree's internal
     nodes must appear, identically split, in the fine tree."""
@@ -293,14 +292,14 @@ def test_relaxing_variance_threshold_gives_prefix_tree():
         fine = build_quadtree(img, SplitPolicy(min_side=2, var_threshold=100.0))
         coarse = build_quadtree(img, SplitPolicy(min_side=2, var_threshold=900.0))
 
-        def check_prefix(cn, fn):
-            assert cn.rect == fn.rect
-            if cn.children:
-                assert fn.children, "coarse split missing from fine tree"
-                for c, f in zip(cn.children, fn.children):
-                    check_prefix(c, f)
-
-        check_prefix(coarse.root, fine.root)
+        # rects are distinct within a tree, so a rect names its node
+        fine_child = dict(zip(map(tuple, fine.rects.tolist()), fine.first_child.tolist()))
+        for rect, fc in zip(map(tuple, coarse.rects.tolist()), coarse.first_child.tolist()):
+            assert rect in fine_child
+            if fc >= 0:
+                assert fine_child[rect] >= 0, "coarse split missing from fine tree"
+                quads = fine.rects[fine_child[rect] : fine_child[rect] + 4]
+                assert np.array_equal(coarse.rects[fc : fc + 4], quads)
 
 
 def test_split_requires_variance_above_threshold():
@@ -331,7 +330,8 @@ def test_build_is_deterministic():
     policy = SplitPolicy(min_side=4, var_threshold=200.0)
     t1 = build_quadtree(img, policy)
     t2 = build_quadtree(img, policy)
-    assert _structure(t1.root) == _structure(t2.root)
+    for name in ("rects", "depth", "first_child"):
+        assert np.array_equal(getattr(t1, name), getattr(t2, name))
     assert node_to_dict(t1) == node_to_dict(t2)
 
 
@@ -356,7 +356,8 @@ def test_policy_validation():
 
 
 def _hex_stats(stats):
-    return (stats.count, stats.mean.hex(), stats.variance.hex(), stats.entropy_bits.hex())
+    count, mean, variance, entropy_bits = stats
+    return (count, mean.hex(), variance.hex(), entropy_bits.hex())
 
 
 @st.composite
@@ -392,7 +393,8 @@ def reference_cases(draw):
 def test_flat_tree_equals_recursive_reference(case):
     """The level-order build gives the recursive builder's tree: the same
     report JSON byte for byte, the same bits in every stats float, the same
-    threshold sources with the same histograms, and the same leaf plan."""
+    threshold sources with the same histograms, the same leaf plan, and a
+    `root` view with the same nodes."""
     img, policy = case
     tree = build_quadtree(img, policy)
     ref = reference_build(img, policy)
@@ -404,11 +406,19 @@ def test_flat_tree_equals_recursive_reference(case):
     assert [_hex_stats(s) for s in node_stats(tree)] == [_hex_stats(n.stats) for n in level_order]
     assert_sources_equal_direct_counts(img, tree)
 
+    # the RegionNode view, which the benchmark's traced run walks
+    pairs = [(tree.root, ref)]
+    for node, expect in pairs:  # the loop reads what it appends
+        assert (node.rect, node.depth) == (expect.rect, expect.depth)
+        assert _hex_stats(astuple(node.stats)) == _hex_stats(expect.stats)
+        assert len(node.children) == len(expect.children)
+        pairs.extend(zip(node.children, expect.children))
+
     # the plan: leaf rects depth first, and each leaf's source rect is its
     # own for a heterogeneous or root leaf, otherwise its parent's
     def planned(node, parent):
         if not node.children:
-            own = node.stats.variance > policy.var_threshold or parent is None
+            own = node.variance > policy.var_threshold or parent is None
             yield node.rect, node.rect if own else parent.rect
         for child in node.children:
             yield from planned(child, node)

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -11,14 +11,18 @@ from stratseg import (
     GrayImage,
     LeafThreshold,
     ObjectiveWeights,
+    PhantomSpec,
+    ShapeSpec,
     SimplexParams,
     SplitPolicy,
     ThresholdReport,
     build_quadtree,
+    generate_phantom,
     objective,
     optimize_leaf,
     oracle_best_threshold,
     segment,
+    segment_image,
     threshold_tree,
 )
 from stratseg import imgio, stratify
@@ -259,7 +263,7 @@ def test_stats_and_tables_take_the_level_count_from_the_histograms():
         row[rng.choice(16, m, replace=False)] = rng.integers(1, 10**6, m)
     for hist, stats in zip(hists, np.array(_stats(hists)).T):
         expect = reference_stats(hist)
-        assert [float(v).hex() for v in stats] == [float(v).hex() for v in vars(expect).values()]
+        assert [float(v).hex() for v in stats] == [float(v).hex() for v in expect]
     complexities = rng.uniform(0.0, 1.0, len(hists))
     tab = _Tables(hists)
     knots, ts = np.arange(16.0), np.append(rng.uniform(-2.0, 18.0, 32), [0.0, 15.0, 15.5])
@@ -491,7 +495,7 @@ def test_threshold_tree_homogeneous_leaves_inherit_parent():
     tree = build_quadtree(img, SplitPolicy(min_side=8))
     report = threshold_tree(img, tree)
     assert len(report) == 4
-    root_rect = tree.root.rect
+    root_rect = Rect(*tree.rects[0].tolist())
     ts = {e.threshold for e in report.entries}
     assert len(ts) == 1  # all four inherit the same parent threshold
     for e in report.entries:
@@ -793,6 +797,45 @@ def test_objective_weights_validation():
         with pytest.raises(InvalidArgument, match="adaptive must be a bool"):
             ObjectiveWeights(adaptive=value)
     assert ObjectiveWeights(adaptive=np.False_).adaptive is False  # as JSON writes it
+
+
+def seam_case(name):
+    """(image, arguments of segment_image) of each case of the seam test."""
+    rng = np.random.default_rng(39)
+    if name == "quadrant":
+        return quadrant_image(), (SplitPolicy(min_side=8),)
+    if name == "random 33x47":
+        img = GrayImage(rng.integers(0, 256, size=(47, 33), dtype=np.uint8))
+        weights, params = ObjectiveWeights(0.5, 0.5, adaptive=False), SimplexParams(3, 2.0)
+        return img, (SplitPolicy(min_side=4, var_threshold=100), weights, params)
+    if name == "below grid":
+        img = GrayImage(rng.integers(0, 256, size=(256, 256), dtype=np.uint8))
+        return img, (SplitPolicy(max_depth=7, min_side=2, var_threshold=0),)
+    if name == "1x1":
+        return GrayImage(np.array([[7]], dtype=np.uint8)), ()
+    shapes = (ShapeSpec("ellipse", 60, 50, 40, 30, 150), ShapeSpec("ellipse", 130, 100, 35, 25, 150))
+    img, _ = generate_phantom(PhantomSpec(192, 144, 70, shapes, 30.0, 6.0, seed=39))
+    return img, ()
+
+
+@pytest.mark.parametrize("name", ["quadrant", "random 33x47", "below grid", "1x1", "defaults"])
+def test_segment_image_is_the_three_stages(name):
+    img, args = seam_case(name)
+    """segment_image gives what build_quadtree, threshold_tree and segment
+    give when called one by one with the same arguments."""
+    img, args = seam_case(name)
+    tree, report, mask = segment_image(img, *args)
+    expect_tree = build_quadtree(img, *args[:1])
+    expect_report = threshold_tree(img, expect_tree, *args[1:])
+    expect_mask = segment(img, expect_tree, expect_report)
+    for f in fields(tree):
+        got, expect = getattr(tree, f.name), getattr(expect_tree, f.name)
+        if isinstance(got, np.ndarray):
+            got, expect = ((a.dtype, a.shape, a.tobytes()) for a in (got, expect))
+        assert got == expect, f.name
+    assert report.entries == expect_report.entries
+    assert mask.pixels.shape == expect_mask.pixels.shape
+    assert mask.pixels.tobytes() == expect_mask.pixels.tobytes()
 
 
 def test_segment_mask_is_read_only():
