@@ -153,23 +153,20 @@ class SegMetrics:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _require_binary(img: GrayImage, name: str):
+def _require_binary(img: GrayImage, name: str) -> int:
+    """The count of 255s in `img`; NonBinaryInput unless all pixels are 0 or 255."""
     counts = bin_rows(img.pixels, np.zeros(img.width, np.intp))[0]
     if counts[1 : LEVELS - 1].any():
         raise NonBinaryInput(f"{name} contains values other than 0 and 255")
+    return int(counts[LEVELS - 1])
 
 
 def seg_metrics(mask: GrayImage, truth: GrayImage) -> SegMetrics:
-    """Distortion and Dice reliability of `mask` against `truth`."""
+    """Distortion and Dice reliability of `mask` against `truth`, from the
+    counts |A|, |B| and |A xor B|: 2|A&B| is |A| + |B| - |A xor B|."""
     if mask.pixels.shape != truth.pixels.shape:
-        raise DimensionMismatch(
-            f"mask {mask.pixels.shape} vs truth {truth.pixels.shape}"
-        )
-    _require_binary(mask, "mask")
-    _require_binary(truth, "truth")
-    a = mask.pixels == 255
-    b = truth.pixels == 255
-    distortion = float(np.mean(a != b))
-    denom = int(a.sum()) + int(b.sum())
-    reliability = 1.0 if denom == 0 else 2.0 * int((a & b).sum()) / denom
-    return SegMetrics(distortion, reliability)
+        raise DimensionMismatch(f"mask {mask.pixels.shape} vs truth {truth.pixels.shape}")
+    a, b = _require_binary(mask, "mask"), _require_binary(truth, "truth")
+    differ = int(np.count_nonzero(mask.pixels != truth.pixels))
+    reliability = 1.0 if a + b == 0 else (a + b - differ) / (a + b)
+    return SegMetrics(differ / mask.pixels.size, reliability)

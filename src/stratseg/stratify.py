@@ -71,20 +71,26 @@ class RegionStats:
     entropy_bits: float
 
 
-def _stats(hists):
-    """(count, mean, variance, entropy bits) arrays of the rows of a (k, levels)
-    stack of histograms, with the bits of 1-D sums on one row: a row sum of a
-    C-contiguous block is pairwise like a 1-D sum, and each row's occupied
-    levels are summed packed with rows of as many, as zeros would change the
-    pairwise order."""
-    counts = np.array(hists, dtype=np.float64, ndmin=2)
+def _moments(counts):
+    """(count, mean, variance) arrays of the rows of a (k, levels) float64
+    stack of nonempty histograms, with the bits of 1-D sums on one row: a
+    row sum of a C-contiguous block is pairwise like a 1-D sum."""
     levels = np.arange(counts.shape[1], dtype=np.float64)
     n = counts.sum(axis=1)
     dev = counts * levels  # reused in place: one (k, levels) temporary
     mean = dev.sum(axis=1) / n
     np.square(np.subtract(levels, mean[:, None], out=dev), out=dev)
     dev *= counts
-    variance = dev.sum(axis=1) / n
+    return n, mean, dev.sum(axis=1) / n
+
+
+def _stats(hists):
+    """(count, mean, variance, entropy bits) arrays of the rows of a (k, levels)
+    stack of histograms, with the bits of 1-D sums on one row (`_moments`):
+    each row's occupied levels are summed packed with rows of as many, as
+    zeros would change the pairwise order."""
+    counts = np.array(hists, dtype=np.float64, ndmin=2)
+    n, mean, variance = _moments(counts)
     occupied = counts > 0
     m = occupied.sum(axis=1)
     p = counts[occupied] / np.repeat(n, m)
@@ -103,10 +109,6 @@ class RegionNode:
     depth: int
     stats: RegionStats
     children: tuple = ()  # empty for a leaf, else exactly 4 RegionNodes
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,17 +221,17 @@ class _TileGrid:
         return out
 
 
-def _sources(first_child, variance, var_threshold) -> np.ndarray:
+def _sources(first_child, heterogeneous) -> np.ndarray:
     """For each leaf, the node whose histogram its threshold is optimized on;
-    -1 for a split node. Homogeneous leaves (variance at or below the split
-    threshold) inherit from their parent: the quadtree gives every subdomain
-    a coarser level whose statistics still resolve the foreground/background
-    mixture. Heterogeneous leaves (stopped by the depth or size caps), and a
-    root leaf, use their own histogram."""
+    -1 for a split node. Homogeneous leaves (not `heterogeneous`: variance at
+    or below the split threshold) inherit from their parent: the quadtree
+    gives every subdomain a coarser level whose statistics still resolve the
+    foreground/background mixture. Heterogeneous leaves (stopped by the depth
+    or size caps), and a root leaf, use their own histogram."""
     leaf = first_child < 0
     source = np.where(leaf, np.arange(len(leaf)), -1)
     parent = np.repeat(np.flatnonzero(~leaf), 4)  # of nodes 1, 2, ... (level order)
-    inherit = leaf[1:] & (variance[1:] <= var_threshold)
+    inherit = leaf[1:] & ~heterogeneous[1:]
     source[1:][inherit] = parent[inherit]
     return source
 
@@ -241,13 +243,15 @@ def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadT
     """
     grid = _TileGrid(img, min(policy.max_depth, _GRID_DEPTH))
     levels, stats, splits = [np.array([[0, 0, img.width, img.height]], np.int64)], [], []
+    hetero = []  # variance over the split threshold, per level: read by split and _sources
     paths = [np.zeros(1, np.int64)]  # base-4 quadrant path from the root: NW 0 ... SE 3
     for depth in range(policy.max_depth + 1):
         level = levels[-1]
         blocks = [level[lo : lo + _BLOCK_NODES] for lo in range(0, len(level), _BLOCK_NODES)]
         st = np.hstack([_stats(grid.histograms(b, np.full(len(b), depth))) for b in blocks])
         fits = (level[:, 2:].min(axis=1) // 2 >= policy.min_side) & (depth < policy.max_depth)
-        split = fits & (st[2] > policy.var_threshold)
+        hetero.append(st[2] > policy.var_threshold)
+        split = fits & hetero[-1]
         stats.append(st)
         splits.append(split)
         if not split.any():
@@ -267,7 +271,7 @@ def build_quadtree(img: GrayImage, policy: SplitPolicy = SplitPolicy()) -> QuadT
     leaf = np.flatnonzero(first_child < 0)
     code = np.concatenate(paths)[leaf] << 2 * (len(levels) - 1 - depth[leaf])
     leaf = leaf[np.argsort(code)]
-    source = _sources(first_child, variance, policy.var_threshold)
+    source = _sources(first_child, np.concatenate(hetero))
     sources, leaf_source = np.unique(source[leaf], return_inverse=True)  # by depth
     kept = grid.histograms(rects[sources], depth[sources])
     dims, stats = (img.width, img.height), (count.astype(np.int64), mean, variance, entropy)

@@ -27,9 +27,9 @@ multiplication. Logs are array `np.log`, which gives the bits of scalar
 `np.log` (`math.log` differs on a few inputs); a test pins it. The
 refinement reads J at the knots of a +-3 window around each row's rounded
 optimum, and then one knot at a time while a row still climbs; at a knot the
-interpolation adds 0 * diff (`_Tables.at_knots`). The exhaustive
-`oracle_best_threshold`, which backs every optimizer claim, is `objective`
-at all `imgio.LEVELS` knots.
+interpolation adds 0 * diff, and a knot outside [0, top] clamps to the edge.
+The exhaustive `oracle_best_threshold`, which backs every optimizer claim,
+is `objective` at all `imgio.LEVELS` knots.
 
 `segment` stitches the mask in full-width row bands, cut at every leaf's
 top and bottom edge: each band is compared against one per-row vector of
@@ -54,7 +54,7 @@ from .errors import (
     whole_number,
 )
 from .imgio import LEVELS, GrayImage, Rect, _adopt, _in_halves
-from .stratify import QuadTree, SplitPolicy, build_quadtree
+from .stratify import QuadTree, SplitPolicy, _moments, build_quadtree
 
 __all__ = [
     "ObjectiveWeights",
@@ -153,25 +153,18 @@ class _Tables:
 
     def __init__(self, hists):
         counts = np.array(hists, dtype=np.float64, ndmin=2)  # a copy: written in place below
-        n = counts.sum(axis=1)
-        if np.any(n <= 0):
+        if not counts.any(axis=1).all():
             raise EmptyHistogram("histogram has zero total count")
         width = counts.shape[1]
-        levels = np.arange(width, dtype=np.float64)
+        n, self.mean, self.var_tot = _moments(counts)
         self.n, self.top, self.ln_levels = n, width - 1, math.log(width)
         # the three tables interleaved, so one gather reads all three; the
         # (rows, levels) steps below work in place to bound the temporaries
         self.cum = np.empty(counts.shape + (3,))
         self.cum_w, self.cum_s, self.cum_a = (self.cum[..., i] for i in range(3))
         np.cumsum(counts, axis=1, out=self.cum_w)
-        np.cumsum(np.multiply(counts, levels, out=self.cum_s), axis=1, out=self.cum_s)
+        np.cumsum(np.multiply(counts, np.arange(width), out=self.cum_s), axis=1, out=self.cum_s)
         self.s_tot = self.cum_s[:, -1]
-        self.mean = self.s_tot / n
-        dev = levels - self.mean[:, None]
-        np.square(dev, out=dev)
-        dev *= counts
-        self.var_tot = dev.sum(axis=1) / n
-        del dev
         p = np.divide(counts, n[:, None], out=counts)
         occupied = p > 0
         q = p[occupied]
@@ -210,9 +203,10 @@ class _Tables:
         e = np.clip((h0 + h1) / (2.0 * self.ln_levels), 0.0, 1.0)
         return w_var * v + w_ent * e
 
-    def at_knots(self, rows, k, w_var, w_ent) -> np.ndarray:
-        """J of `rows` at integer knots k; -inf where k is outside [0, top]."""
-        return np.where((k >= 0) & (k <= self.top), self.evaluate(rows, k, w_var, w_ent), -np.inf)
+
+def _complexity(entropy_bits):
+    """Entropy as a share of log2 LEVELS bits, at most 1 (it can round an ulp over)."""
+    return np.minimum(entropy_bits / math.log2(LEVELS), 1.0)
 
 
 def _histogram(hist, complexity) -> np.ndarray:
@@ -288,20 +282,22 @@ def _simplex(tab: _Tables, w_var, w_ent, params: SimplexParams):
 def _refine(tab: _Tables, x_star: np.ndarray, w_var, w_ent):
     """Round each row's optimum, take the first (smallest-t) max of J over
     a +-3 knot window, then hill-climb to a strict integer local maximum.
-    The weights are (rows, 1) columns. Returns (thresholds, J there)."""
+    The weights are (rows, 1) columns. Returns (thresholds, J there). A knot
+    outside [0, top] has the edge's J, so a first max there is clipped back
+    to the edge, where the climb stops at once: the next knot ties."""
     rows = np.arange(len(x_star))
     t0 = np.floor(np.clip(x_star, 0.0, tab.top) + 0.5).astype(np.int64)
     window = t0[:, None] + np.arange(-3, 4)
-    j = tab.at_knots(rows[:, None], window, w_var, w_ent)
+    j = tab.evaluate(rows[:, None], window, w_var, w_ent)
     pick = np.argmax(j, axis=1)
-    t, jt = window[rows, pick], j[rows, pick]
+    t, jt = np.clip(window[rows, pick], 0, tab.top), j[rows, pick]
     # the first max beats every knot before it and ties or beats every knot
     # after it, so only a window end can move, and only outward
     idx = np.flatnonzero((pick == 0) | (pick == 6))
     step = np.where(pick[idx] == 6, 1, -1)
     while idx.size:
         r = idx[:, None]
-        nb = tab.at_knots(r, (t[idx] + step)[:, None], w_var[idx], w_ent[idx])[:, 0]
+        nb = tab.evaluate(r, (t[idx] + step)[:, None], w_var[idx], w_ent[idx])[:, 0]
         up = nb > jt[idx]
         idx, step, nb = idx[up], step[up], nb[up]
         t[idx] += step
@@ -372,7 +368,7 @@ def threshold_tree(
     binned again here.
     """
     _check_dims(img, tree)
-    complexities = tree.entropy_bits[tree.sources] / math.log2(LEVELS)
+    complexities = _complexity(tree.entropy_bits[tree.sources])
     found = _optimize_rows(tree.source_hists, complexities, weights, params)
     rects, sources = tree.rects.tolist(), tree.sources.tolist()
     entries = []

@@ -40,6 +40,7 @@ from stratseg import (
 )
 from stratseg.cli import main as cli_main
 from stratseg.stratify import _stats
+from stratseg.threshopt import _complexity
 
 from pencil_reference import full_pencil_discriminants, scatter_ld
 
@@ -69,7 +70,7 @@ def test_criterion_1_threshold_oracle_equivalence():
         pdf += (1 - frac) * np.exp(-0.5 * ((g - m1) / s1) ** 2) / s1
         hist = np.rint(5000 * pdf / pdf.sum()).astype(np.int64)
         hist[int(m0)] += 1
-        complexity = _stats(hist)[3].item() / 8.0
+        complexity = _complexity(_stats(hist)[3].item())
         res = optimize_leaf(hist, complexity)
         t_or, j_or = oracle_best_threshold(hist, complexity)
         ratios.append(1.0 if j_or == 0 else res.objective_value / j_or)
@@ -171,7 +172,7 @@ def test_criterion_3_stratified_segmentation_on_ramped_phantom():
 
     # global single-threshold baseline via the exhaustive oracle on the root
     hist = np.bincount(img.pixels.ravel(), minlength=256)
-    t_global, _ = oracle_best_threshold(hist, tree.entropy_bits[0] / 8.0)
+    t_global, _ = oracle_best_threshold(hist, _complexity(tree.entropy_bits[0]))
     global_mask = GrayImage(
         np.where(img.pixels <= t_global, 0, 255).astype(np.uint8)
     )

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,64 @@ def test_metrics_find_one_stray_level_past_the_first_band(level, side):
 def test_metrics_take_a_one_level_image(value):
     flat = GrayImage(np.full((1000, 600), value, dtype=np.uint8))
     assert seg_metrics(flat, flat) == SegMetrics(0.0, 1.0)
+
+
+def bool_metrics(mask, truth):
+    """Distortion and Dice from the boolean foreground arrays: the formula
+    `seg_metrics` used before it scored from counts."""
+    a, b = mask.pixels == 255, truth.pixels == 255
+    denom = int(a.sum()) + int(b.sum())
+    return float(np.mean(a != b)), 1.0 if denom == 0 else 2.0 * int((a & b).sum()) / denom
+
+
+def metric_pairs():
+    """(name, mask, truth) of random, empty, full, identical, disjoint and
+    one-pixel masks."""
+    rng = np.random.default_rng(47)
+    shape = (67, 131)
+    coin = rng.random(shape) < 0.4
+    one = np.zeros(shape, dtype=bool)
+    one[31, 77] = True
+    left = np.zeros(shape, dtype=bool)
+    left[:, :60] = True
+    empty, full = np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)
+    pairs = {
+        "random": (coin, rng.random(shape) < 0.6),
+        "empty": (empty, empty),
+        "full": (full, full),
+        "empty against full": (empty, full),
+        "identical": (coin, coin),
+        "disjoint": (left, ~left),
+        "one pixel": (one, one),
+        "one pixel against empty": (one, empty),
+        "one pixel against random": (one, coin),
+    }
+    return [pytest.param(binary(m), binary(t), id=name) for name, (m, t) in pairs.items()]
+
+
+@pytest.mark.parametrize("mask, truth", metric_pairs())
+def test_metrics_from_counts_equal_the_boolean_formula(mask, truth):
+    for m, t in ((mask, truth), (truth, mask)):
+        res = seg_metrics(m, t)
+        assert type(res.distortion) is float and type(res.reliability) is float
+        assert (res.distortion.hex(), res.reliability.hex()) == tuple(
+            v.hex() for v in bool_metrics(m, t)
+        )
+
+
+def test_metrics_peak_memory_is_below_2_bytes_a_pixel():
+    """At 2048 x 2048 the only pixel-sized temporary is the one bool array of
+    the differing pixels."""
+    rng = np.random.default_rng(48)
+    mask, truth = (binary(rng.random((2048, 2048)) < 0.5) for _ in range(2))
+    tracemalloc.start()
+    try:
+        res = seg_metrics(mask, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.distortion, res.reliability) == bool_metrics(mask, truth)
+    assert peak < 2 * 2048 * 2048, peak
 
 
 def test_metrics_json_has_definitions():

@@ -11,6 +11,7 @@ from stratseg import GrayImage, SplitPolicy, build_quadtree, imgio, stratify
 from stratseg.errors import InvalidArgument
 from stratseg.imgio import Rect
 from stratseg.stratify import _stats, node_to_dict
+from stratseg.threshopt import _complexity
 
 from quadtree_reference import (
     reference_build,
@@ -314,12 +315,12 @@ def test_split_requires_variance_above_threshold():
 
 
 def test_region_complexity_bounds_and_known_values():
-    """A region's complexity, entropy / 8 as `threshold_tree` takes it, is 0
+    """A region's complexity, as `threshold_tree` takes it, is 0
     for one level, 1 for all 256 levels and 1/8 for two equal levels."""
     two = np.zeros(256, dtype=np.int64)
     two[10] = two[200] = 50
     hists = np.stack([np.eye(256, dtype=np.int64)[40] * 10, np.ones(256, dtype=np.int64), two])
-    complexity = _stats(hists)[3] / 8.0
+    complexity = _complexity(_stats(hists)[3])
     assert complexity[0] == 0.0
     assert complexity[1:] == pytest.approx([1.0, 1.0 / 8.0])
 

@@ -29,7 +29,7 @@ from stratseg import imgio, stratify
 from stratseg.errors import DimensionMismatch, EmptyHistogram, InvalidArgument, ReportTreeMismatch
 from stratseg.imgio import Rect
 from stratseg.stratify import _stats
-from stratseg.threshopt import _BLOCK_ROWS, _optimize_rows, _Tables
+from stratseg.threshopt import _BLOCK_ROWS, _complexity, _optimize_rows, _refine, _Tables
 
 from objective_reference import (
     ReferenceTables,
@@ -37,6 +37,7 @@ from objective_reference import (
     reference_nelder_mead,
     reference_optimize_leaf,
     reference_probe,
+    reference_refine,
 )
 from quadtree_reference import reference_stats
 from segment_reference import reference_segment
@@ -157,7 +158,7 @@ def criterion_1_histograms():
         pdf += (1 - frac) * np.exp(-0.5 * ((g - m1) / s1) ** 2) / s1
         hist = np.rint(5000 * pdf / pdf.sum()).astype(np.int64)
         hist[int(m0)] += 1
-        yield hist, _stats(hist)[3].item() / 8.0
+        yield hist, _complexity(_stats(hist)[3].item())
 
 
 def seed_34_histograms(count=2000):
@@ -241,14 +242,20 @@ def test_array_ufuncs_match_the_scalar_probe():
 
 
 def test_knot_table_is_bit_identical_to_array_evaluation():
+    """J at the integer knots, as the refinement reads it, is the bits of J at
+    the same float t and of the reference; a knot outside [0, top] takes the
+    edge's value."""
     cases = zoo_cases()
     knots = np.arange(256.0)
     for hist, complexity in cases:
         wv, we = ObjectiveWeights().effective(complexity)
         tab = _Tables(hist)
-        table = tab.at_knots(0, np.arange(256), wv, we)
+        padded = tab.evaluate(0, np.arange(-2, 258), wv, we)
+        table = padded[2:-2]
         assert np.array_equal(bits(table), bits(tab.evaluate(0, knots, wv, we)))
         assert np.array_equal(bits(table), bits(ReferenceTables(hist).evaluate(knots, wv, we)))
+        assert np.array_equal(bits(padded[:2]), bits([table[0]] * 2))
+        assert np.array_equal(bits(padded[-2:]), bits([table[-1]] * 2))
 
 
 def test_stats_and_tables_take_the_level_count_from_the_histograms():
@@ -273,11 +280,67 @@ def test_stats_and_tables_take_the_level_count_from_the_histograms():
         ref = ReferenceTables(hist)
         for t in (knots, ts):
             assert np.array_equal(bits(tab.evaluate(i, t, wv, we)), bits(ref.evaluate(t, wv, we)))
-        at_knots = tab.at_knots(i, np.arange(-1, 17), wv, we)
-        assert np.array_equal(bits(at_knots[1:-1]), bits(ref.knot_table(wv, we)))
-        assert at_knots[0] == at_knots[-1] == -np.inf
+        padded = tab.evaluate(i, np.arange(-1, 17), wv, we)
+        assert np.array_equal(bits(padded[1:-1]), bits(ref.knot_table(wv, we)))
+        assert bits(padded[0]) == bits(padded[1]) and bits(padded[-1]) == bits(padded[-2])
         expect = reference_optimize_leaf(hist, complexity, tables=ref)
         assert LeafThreshold(*found[i]) == expect, hist
+
+
+ENTROPY_ONLY = ObjectiveWeights(w_var=0.0, w_ent=1.0, adaptive=False)
+
+# (histogram, weights, refined threshold): knots 0, 1, top - 1 and top, and 0
+# again from a continuous optimum below 0; each rounded optimum lies within 3
+# knots of an edge, so the +-3 window crosses a clamp
+REFINE_EDGE_CASES = [
+    (spike_hist((0, 100), (2, 100)), ObjectiveWeights(), 0),
+    (spike_hist((0, 100), (1, 100), (255, 1)), ObjectiveWeights(), 1),
+    (spike_hist((254, 100), (255, 100)), ObjectiveWeights(), 254),
+    (spike_hist((0, 1), (255, 100)), ENTROPY_ONLY, 255),
+    (spike_hist((1, 100), (2, 100), (255, 1)), ENTROPY_ONLY, 0),
+]
+
+
+@pytest.mark.parametrize("hist, weights, knot", REFINE_EDGE_CASES)
+def test_refine_window_across_the_clamps_matches_the_reference(hist, weights, knot):
+    """Off-range knots take the edge's J and come before it in the window;
+    the knot picked is clipped back into [0, top]. The leaf's result is the
+    reference's bit for bit, and so is the refinement from each start within
+    5 knots of either edge."""
+    expect = reference_optimize_leaf(hist, 1.0, weights)
+    assert expect.threshold == knot
+    t0 = math.floor(min(max(expect.continuous_optimum, 0.0), 255.0) + 0.5)
+    assert min(t0, 255 - t0) < 3
+    assert optimize_leaf(hist, 1.0, weights) == expect
+    wv, we = weights.effective(1.0)
+    j = ReferenceTables(hist).knot_table(wv, we)
+    starts = np.concatenate([np.arange(-5.0, 5.0, 0.5), np.arange(250.0, 260.0, 0.5)])
+    column = np.ones((len(starts), 1))
+    t, jt = _refine(_Tables(np.tile(hist, (len(starts), 1))), starts, wv * column, we * column)
+    expect_t = [reference_refine(j, s) for s in starts.tolist()]
+    assert t.tolist() == expect_t
+    assert np.array_equal(bits(jt), bits(j[expect_t]))
+
+
+def test_complexity_is_clamped_to_1():
+    """Rows of about 1e9 counts at every level can reach an entropy one ulp
+    above 8 bits. Their complexity is exactly 1, so the adaptive weights stay
+    nonnegative and the one-histogram entry points accept it; the unclamped
+    share, one ulp above 1, would be refused."""
+    rng = np.random.default_rng(0)
+    rows = np.full((20000, 256), 10**9) + rng.integers(-3, 4, size=(20000, 256))
+    entropy = np.concatenate([_stats(rows[lo : lo + 2000])[3] for lo in range(0, len(rows), 2000)])
+    over = np.flatnonzero(entropy > 8.0)
+    assert over.size and set(entropy[over].tolist()) == {float.fromhex("0x1.0000000000001p+3")}
+    assert np.all(_complexity(entropy) <= 1.0)
+    weights, unclamped = ObjectiveWeights(w_var=0.0, w_ent=1.0), np.nextafter(1.0, 2.0)
+    assert weights.effective(unclamped)[0] < 0.0
+    for i in over.tolist():
+        complexity = _complexity(entropy[i])
+        assert complexity == 1.0 and weights.effective(complexity)[0] >= 0.0
+        assert optimize_leaf(rows[i], complexity, weights).w_var == 0.0
+        with pytest.raises(InvalidArgument, match="^complexity"):
+            optimize_leaf(rows[i], unclamped, weights)
 
 
 def _row(kind, rng):
@@ -738,7 +801,7 @@ COMPLEXITIES = {  # complexity: whether the three entry points take it
 @pytest.mark.parametrize("complexity, ok", COMPLEXITIES.values(), ids=COMPLEXITIES.keys())
 def test_one_histogram_entry_points_take_a_complexity_in_0_1(call, complexity, ok):
     """A caller's complexity is a real number in [0, 1], as `threshold_tree`
-    derives it (entropy / 8); anything else is InvalidArgument, not a
+    derives it (`_complexity`); anything else is InvalidArgument, not a
     TypeError, NaN weights or weights outside [0, 1]."""
     hist = bimodal_hist(np.random.default_rng(46))
     if ok:
